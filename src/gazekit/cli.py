@@ -9,6 +9,7 @@ flag (underscored key names); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -27,7 +28,13 @@ from .forest import (
     subsample_indices,
     train_arrays,
 )
-from .pipeline import AttritionLedger, DropReason, PipelineConfig, classify_frame
+from .pipeline import (  # classify_frame stays bound here for perfbench's tracer
+    AttritionLedger,
+    DropReason,
+    PipelineConfig,
+    classify_batch,
+    classify_frame,
+)
 from .pupil import DEFAULT_GRID, ParamGrid
 
 __all__ = ["main", "build_parser"]
@@ -195,6 +202,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_config_type(key: str, value, default):
+    """A config-file value must have its default's type; an int may stand
+    for a float. Keys whose default is None take any value."""
+    if default is None:
+        return
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = type(value) is type(default)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise UsageError(
+            f"config key {key!r} must be of type {type(default).__name__}, "
+            f"got {json.dumps(value)}"
+        )
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
     defaults = _DEFAULTS[args.command]
@@ -206,9 +231,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file: {exc}") from None
         if not isinstance(from_file, dict):
             raise UsageError("config file must hold a JSON object")
-        for key in from_file:
+        for key, value in from_file.items():
             if key not in defaults:
                 raise UsageError(f"unknown config key for {args.command!r}: {key!r}")
+            _check_config_type(key, value, defaults[key])
     resolved = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
@@ -313,10 +339,7 @@ def cmd_evaluate(resolved: dict) -> int:
         modes = (FeatureMode.HEAD_ONLY, FeatureMode.HEAD_AND_EYE)
     else:
         modes = (FeatureMode(mode_arg),)
-    owl_raw = resolved["owl_thresholds"]
-    owl_thresholds = (
-        _parse_owl_thresholds(owl_raw) if isinstance(owl_raw, str) else tuple(owl_raw)
-    )
+    owl_thresholds = _parse_owl_thresholds(resolved["owl_thresholds"])
     prepared = _prepare(resolved)
     cfg = analysis.EvalConfig(
         modes=modes,
@@ -367,6 +390,12 @@ def _decision_obj(line_number: int, entry, outcome) -> dict:
     return obj
 
 
+# Frames staged and predicted together by ``classify``. Prediction walks a
+# micro-batch's (row, tree) pairs in one pass; 256 rows of a 2000-tree model
+# fill about two of its memory-bounded chunks.
+CLASSIFY_BATCH = 256
+
+
 def cmd_classify(resolved: dict) -> int:
     model = dataio.load_model(resolved["model"])
     if model.feature_dim == HEAD_DIM + EYE_DIM:
@@ -387,11 +416,13 @@ def cmd_classify(resolved: dict) -> int:
     if not path.exists():
         raise DataFormatError(f"dataset not found: {path}")
     out_path = Path(resolved["out"])
+    entries = dataio.iter_dataset(path)
     with out_path.open("w", encoding="utf-8") as out:
-        for entry in dataio.iter_dataset(path):
-            outcome = classify_frame(entry.record, model, cfg)
-            ledger.observe(outcome)
-            out.write(json.dumps(_decision_obj(entry.line_number, entry, outcome)) + "\n")
+        while batch := list(itertools.islice(entries, CLASSIFY_BATCH)):
+            outcomes = classify_batch([entry.record for entry in batch], model, cfg)
+            for entry, outcome in zip(batch, outcomes):
+                ledger.observe(outcome)
+                out.write(json.dumps(_decision_obj(entry.line_number, entry, outcome)) + "\n")
     print(
         json.dumps(
             {

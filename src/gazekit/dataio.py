@@ -9,20 +9,22 @@ Dataset layout::
 A frame object carries ``subject_id`` (string), ``frame_index`` (int),
 ``label`` (one of the six region names), ``landmarks`` (flat array of 136
 numbers, x0, y0, x1, y1, ...), ``eye_crop`` (path relative to the JSONL
-file), and ``eye_polygon`` (flat array of 12 numbers). A line that is
-missing, malformed, or fails validation is reported as a face-detection
-failure rather than aborting the stream; frame invariants are enforced here,
-at parse time.
+file, inside its directory), and ``eye_polygon`` (flat array of 12 numbers).
+A line that is missing, malformed, or fails validation is reported as a
+face-detection failure rather than aborting the stream; frame invariants are
+enforced here, at parse time.
 
 Model files are little-endian throughout: magic ``GZKF``, a u16 format
 version, a fixed header (forest configuration, class order, feature
-dimension, training digest), then each tree as a preorder node stream.
+dimension, training digest), then the forest's preorder node arrays as raw
+blocks (see ``model_bytes``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +40,7 @@ from .core import (
     Landmarks,
     region_from_name,
 )
-from .forest import ForestConfig, ForestModel, Leaf, Split, TrainingDigest, TreeNode
+from .forest import LEAF, ForestConfig, ForestModel, ForestNodes, TrainingDigest
 
 __all__ = [
     "write_pgm",
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = b"GZKF"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +139,15 @@ def parse_frame_obj(obj: dict, base_dir: Path) -> FrameRecord:
         polygon_flat = obj["eye_polygon"]
     except KeyError as missing:
         raise DataFormatError(f"frame record missing field {missing}") from None
-    if not isinstance(subject_id, str) or not isinstance(frame_index, int):
-        raise DataFormatError("subject_id must be a string and frame_index an integer")
+    if (
+        not isinstance(subject_id, str)
+        or not isinstance(frame_index, int)
+        or isinstance(frame_index, bool)
+        or not isinstance(label_name, str)
+    ):
+        raise DataFormatError(
+            "subject_id and label must be strings and frame_index an integer"
+        )
     if not isinstance(landmarks_flat, list) or len(landmarks_flat) != 136:
         raise DataFormatError("landmarks must be a flat array of 136 numbers")
     if not isinstance(polygon_flat, list) or len(polygon_flat) != 12:
@@ -148,7 +157,7 @@ def parse_frame_obj(obj: dict, base_dir: Path) -> FrameRecord:
         polygon = np.array(polygon_flat, dtype=np.float64).reshape(6, 2)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"non-numeric landmark data: {exc}") from None
-    crop = read_pgm(base_dir / crop_rel)
+    crop = read_pgm(base_dir / _relative_crop_path(crop_rel))
     return FrameRecord(
         subject_id=subject_id,
         frame_index=frame_index,
@@ -157,6 +166,20 @@ def parse_frame_obj(obj: dict, base_dir: Path) -> FrameRecord:
         eye_polygon=polygon,
         label=region_from_name(label_name),
     )
+
+
+def _relative_crop_path(crop_rel) -> str:
+    """``eye_crop`` checked to name a file under the dataset directory.
+
+    The check is on the path text: ``..`` components may not climb out of
+    the directory, and absolute paths are refused.
+    """
+    if not isinstance(crop_rel, str) or "\0" in crop_rel:
+        raise DataFormatError("eye_crop must be a path string")
+    normal = os.path.normpath(crop_rel)
+    if os.path.isabs(normal) or normal.split(os.sep)[0] == os.pardir:
+        raise DataFormatError(f"eye_crop {crop_rel!r} is outside the dataset directory")
+    return normal
 
 
 @dataclass(frozen=True)
@@ -253,61 +276,20 @@ _HEADER = struct.Struct("<IIIIQBIHQd")
 # n_trees, max_depth, features_per_split (0 = auto), min_samples_leaf,
 # rng_seed, bootstrap, feature_dim, n_classes, digest_seed, coverage
 
-_NODE_TAG_LEAF = 0
-_NODE_TAG_SPLIT = 1
-
-
-def _write_tree(parts: list[bytes], node: TreeNode, n_classes: int) -> int:
-    count = 0
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        count += 1
-        if isinstance(current, Leaf):
-            parts.append(struct.pack("<B", _NODE_TAG_LEAF))
-            parts.append(struct.pack(f"<{n_classes}d", *current.class_fractions))
-        else:
-            parts.append(struct.pack("<Bid", _NODE_TAG_SPLIT, current.feature_index, current.threshold))
-            stack.append(current.right)  # preorder: left subtree first
-            stack.append(current.left)
-    return count
-
-
-def _read_tree(view: memoryview, offset: int, n_classes: int) -> tuple[TreeNode, int]:
-    leaf_size = 8 * n_classes
-    pending: list[list] = []  # [feature, threshold] or [feature, threshold, left]
-
-    while True:
-        tag = view[offset]
-        offset += 1
-        if tag == _NODE_TAG_SPLIT:
-            feature, threshold = struct.unpack_from("<id", view, offset)
-            offset += 12
-            pending.append([feature, threshold])
-            continue
-        if tag != _NODE_TAG_LEAF:
-            raise DataFormatError(f"corrupt model: unknown node tag {tag}")
-        fractions = np.frombuffer(view, dtype="<f8", count=n_classes, offset=offset)
-        offset += leaf_size
-        node: TreeNode = Leaf(fractions.copy())
-        # Fold the completed subtree into its ancestors: a split missing its
-        # left child takes it and waits for the right subtree; a split with
-        # both children is itself complete and folds further up.
-        while pending:
-            frame = pending[-1]
-            if len(frame) == 2:
-                frame.append(node)
-                break
-            pending.pop()
-            node = Split(frame[0], float(frame[1]), frame[2], node)
-        else:
-            return node, offset
-
 
 def model_bytes(model: ForestModel) -> bytes:
-    """Serialize a model to the portable little-endian format."""
+    """Serialize a model to the portable little-endian format.
+
+    After the header and class block come five raw blocks: the node count
+    of each tree (u32), the split feature of every node (i32, -1 at leaves),
+    then for the splits in node order their thresholds (f64) and their right
+    children as indices within the tree (u32), and last the class counts of
+    every leaf in node order (u32, one per class).
+    """
     cfg = model.config
     digest = model.training_digest
+    nodes = model.nodes
+    is_split = nodes.feature != LEAF
     parts: list[bytes] = [
         MODEL_MAGIC,
         struct.pack("<H", MODEL_VERSION),
@@ -330,11 +312,13 @@ def model_bytes(model: ForestModel) -> bytes:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
     parts.append(struct.pack(f"<{model.n_classes}Q", *digest.class_counts))
-    for tree in model.trees:
-        tree_parts: list[bytes] = []
-        count = _write_tree(tree_parts, tree, model.n_classes)
-        parts.append(struct.pack("<I", count))
-        parts.extend(tree_parts)
+    parts += [
+        nodes.tree_sizes.astype("<u4").tobytes(),
+        nodes.feature.astype("<i4").tobytes(),
+        nodes.threshold[is_split].astype("<f8").tobytes(),
+        nodes.right[is_split].astype("<u4").tobytes(),
+        nodes.leaf_counts.astype("<u4").tobytes(),
+    ]
     return b"".join(parts)
 
 
@@ -344,17 +328,24 @@ def save_model(model: ForestModel, path):
 
 def load_model(path) -> ForestModel:
     data = Path(path).read_bytes()
-    view = memoryview(data)
     if data[:4] != MODEL_MAGIC:
         raise DataFormatError(f"{path}: not a gazekit model file")
     try:
-        return _parse_model(path, data, view)
-    except (struct.error, ValueError, IndexError) as exc:
+        return _parse_model(path, data)
+    except (struct.error, ValueError) as exc:
         raise DataFormatError(f"{path}: corrupt model file ({exc})") from exc
 
 
-def _parse_model(path, data: bytes, view: memoryview) -> ForestModel:
-    (version,) = struct.unpack_from("<H", view, 4)
+def _block(path, data: bytes, offset: int, dtype: str, count: int):
+    """``count`` items of ``dtype`` at ``offset``, and the offset after them."""
+    end = offset + np.dtype(dtype).itemsize * count
+    if end > len(data):
+        raise DataFormatError(f"{path}: model payload truncated")
+    return np.frombuffer(data, dtype=dtype, count=count, offset=offset), end
+
+
+def _parse_model(path, data: bytes) -> ForestModel:
+    (version,) = struct.unpack_from("<H", data, 4)
     if version != MODEL_VERSION:
         raise DataFormatError(f"{path}: unsupported model version {version}")
     offset = 6
@@ -369,29 +360,55 @@ def _parse_model(path, data: bytes, view: memoryview) -> ForestModel:
         n_classes,
         digest_seed,
         coverage,
-    ) = _HEADER.unpack_from(view, offset)
+    ) = _HEADER.unpack_from(data, offset)
     offset += _HEADER.size
 
     names = []
     for _ in range(n_classes):
-        (length,) = struct.unpack_from("<H", view, offset)
+        (length,) = struct.unpack_from("<H", data, offset)
         offset += 2
-        names.append(bytes(view[offset : offset + length]).decode("utf-8"))
+        names.append(data[offset : offset + length].decode("utf-8"))
         offset += length
-    counts = struct.unpack_from(f"<{n_classes}Q", view, offset)
+    counts = struct.unpack_from(f"<{n_classes}Q", data, offset)
     offset += 8 * n_classes
 
-    trees = []
-    for _ in range(n_trees):
-        (node_count,) = struct.unpack_from("<I", view, offset)
-        offset += 4
-        tree, offset = _read_tree(view, offset, n_classes)
-        if _count_nodes(tree) != node_count:
-            raise DataFormatError(f"{path}: tree node count mismatch")
-        trees.append(tree)
+    # Every check is on whole blocks; a file that passes them walks from
+    # each root to a leaf with class mass in at most tree-size steps.
+    sizes, offset = _block(path, data, offset, "<u4", n_trees)
+    if (sizes == 0).any():
+        raise DataFormatError(f"{path}: empty tree")
+    n_nodes = int(sizes.sum(dtype=np.int64))
+    feature, offset = _block(path, data, offset, "<i4", n_nodes)
+    if (feature < LEAF).any():
+        raise DataFormatError(f"{path}: unknown node tag {int(feature.min())}")
+    if (feature >= feature_dim).any():
+        raise DataFormatError(
+            f"{path}: split feature index {int(feature.max())} outside feature_dim {feature_dim}"
+        )
+    is_split = feature != LEAF
+    n_splits = int(is_split.sum())
+    split_threshold, offset = _block(path, data, offset, "<f8", n_splits)
+    if not np.isfinite(split_threshold).all():
+        raise DataFormatError(f"{path}: non-finite split threshold")
+    split_right, offset = _block(path, data, offset, "<u4", n_splits)
+    roots = np.cumsum(sizes, dtype=np.int64) - sizes
+    position = np.arange(n_nodes) - np.repeat(roots, sizes)
+    if (
+        (split_right <= position[is_split])
+        | (split_right >= np.repeat(sizes, sizes)[is_split])
+    ).any():
+        raise DataFormatError(f"{path}: right child outside its tree or not after its parent")
+    leaf_counts, offset = _block(path, data, offset, "<u4", (n_nodes - n_splits) * n_classes)
+    leaf_counts = leaf_counts.reshape(-1, n_classes)
+    if (leaf_counts.sum(axis=1) == 0).any():
+        raise DataFormatError(f"{path}: leaf with no class mass")
     if offset != len(data):
         raise DataFormatError(f"{path}: trailing bytes after model payload")
 
+    threshold = np.zeros(n_nodes)
+    threshold[is_split] = split_threshold
+    right = np.full(n_nodes, -1, dtype=np.int32)
+    right[is_split] = split_right
     try:
         class_order: tuple = tuple(region_from_name(name) for name in names)
     except DataFormatError:
@@ -411,20 +428,10 @@ def _parse_model(path, data: bytes, view: memoryview) -> ForestModel:
     )
     return ForestModel(
         config=cfg,
-        trees=tuple(trees),
+        nodes=ForestNodes(
+            roots, feature.astype(np.int32, copy=False), threshold, right, leaf_counts
+        ),
         feature_dim=feature_dim,
         class_order=class_order,
         training_digest=digest,
     )
-
-
-def _count_nodes(node: TreeNode) -> int:
-    stack = [node]
-    count = 0
-    while stack:
-        current = stack.pop()
-        count += 1
-        if isinstance(current, Split):
-            stack.append(current.left)
-            stack.append(current.right)
-    return count

@@ -31,15 +31,14 @@ __all__ = [
     "DimensionMismatch",
     "EmptyClass",
     "ForestConfig",
-    "Leaf",
-    "Split",
+    "LEAF",
+    "ForestNodes",
     "TrainingDigest",
     "ForestModel",
     "train",
     "train_arrays",
     "predict_proba",
     "predict_proba_batch",
-    "tree_predict_proba",
     "subsample_balance",
     "supersample_balance",
     "subsample_indices",
@@ -82,27 +81,47 @@ class ForestConfig:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
-@dataclass(frozen=True)
-class Leaf:
-    class_fractions: np.ndarray  # (n_classes,) non-negative, sums to 1
+LEAF = -1  # ``ForestNodes.feature`` value that marks a leaf
+
+
+@dataclass(frozen=True, eq=False)
+class ForestNodes:
+    """Every tree of a forest as preorder node arrays, trees back to back.
+
+    A split at node ``i`` sends ``x[feature[i]] <= threshold[i]`` to its left
+    child ``i + 1`` and everything else, NaN included, to its right child,
+    ``right[i]`` nodes after the tree's first node. Leaves carry the class
+    counts of the training samples that reached them. ``fractions`` and
+    ``right_node`` are derived, for prediction.
+    """
+
+    roots: np.ndarray        # (n_trees,) first node of each tree
+    feature: np.ndarray      # (n_nodes,) int32, LEAF at leaves
+    threshold: np.ndarray    # (n_nodes,) float64, 0 at leaves
+    right: np.ndarray        # (n_nodes,) int32, within the tree; -1 at leaves
+    leaf_counts: np.ndarray  # (n_leaves, n_classes) uint32, leaves in node order
+    fractions: np.ndarray = field(init=False, repr=False)   # (n_nodes, n_classes)
+    right_node: np.ndarray = field(init=False, repr=False)  # (n_nodes,) right child
 
     def __post_init__(self):
-        fractions = np.array(self.class_fractions, dtype=np.float64)
-        if fractions.min() < 0.0 or abs(fractions.sum() - 1.0) > 1e-9:
-            raise ValueError(f"leaf fractions must be a distribution: {fractions}")
-        fractions.flags.writeable = False
-        object.__setattr__(self, "class_fractions", fractions)
+        roots = np.asarray(self.roots, dtype=np.intp)
+        object.__setattr__(self, "roots", roots)
+        is_leaf = self.feature == LEAF
+        counts = self.leaf_counts
+        fractions = np.zeros((self.feature.size, counts.shape[1]))
+        fractions[is_leaf] = counts / counts.sum(axis=1, keepdims=True)
+        object.__setattr__(self, "fractions", fractions)
+        tree_root = np.repeat(roots, self.tree_sizes)
+        right_node = np.where(is_leaf, -1, tree_root + self.right)
+        object.__setattr__(self, "right_node", right_node)
 
+    @property
+    def n_trees(self) -> int:
+        return int(self.roots.size)
 
-@dataclass(frozen=True)
-class Split:
-    feature_index: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Leaf | Split
+    @property
+    def tree_sizes(self) -> np.ndarray:
+        return np.diff(self.roots, append=self.feature.size)
 
 
 @dataclass(frozen=True)
@@ -117,24 +136,22 @@ class TrainingDigest:
 @dataclass
 class ForestModel:
     config: ForestConfig
-    trees: tuple[TreeNode, ...]
+    nodes: ForestNodes
     feature_dim: int
     class_order: tuple
     training_digest: TrainingDigest
-    _packed: "_PackedForest | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.trees) != self.config.n_trees:
+        if self.nodes.n_trees != self.config.n_trees:
             raise ValueError("tree count must match config.n_trees")
 
     @property
     def n_classes(self) -> int:
         return len(self.class_order)
 
-    def packed(self) -> "_PackedForest":
-        if self._packed is None:
-            self._packed = _pack_forest(self.trees, self.n_classes)
-        return self._packed
+    def packed(self) -> ForestNodes:
+        """The node arrays that prediction walks."""
+        return self.nodes
 
 
 def thread_count() -> int:
@@ -149,10 +166,6 @@ def thread_count() -> int:
 # ---------------------------------------------------------------------------
 # Tree growth
 # ---------------------------------------------------------------------------
-
-def _leaf(counts: np.ndarray) -> Leaf:
-    return Leaf(counts / counts.sum())
-
 
 def _best_split(X, y, idx, feats, n_classes, min_leaf):
     """Best (feature, threshold) among ``feats`` for the node ``idx``.
@@ -199,12 +212,23 @@ def _best_split(X, y, idx, feats, n_classes, min_leaf):
     return int(feature), float(threshold)
 
 
-def _grow_tree(X, y, n_classes, cfg: ForestConfig, rng: np.random.Generator) -> TreeNode:
+def _grow_tree(X, y, n_classes, cfg: ForestConfig, rng: np.random.Generator):
+    """Grow one tree; returns its preorder node arrays, as ForestNodes holds them."""
     n, d = X.shape
     k = cfg.features_per_split or max(1, int(math.floor(math.sqrt(d))))
     k = min(k, d)
+    feature: list[int] = []
+    threshold: list[float] = []
+    right: list[int] = []
+    leaf_counts: list[np.ndarray] = []
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def leaf(counts: np.ndarray):
+        feature.append(LEAF)
+        threshold.append(0.0)
+        right.append(-1)
+        leaf_counts.append(counts)
+
+    def build(idx: np.ndarray, depth: int):
         counts = np.bincount(y[idx], minlength=n_classes)
         n_node = idx.size
         if (
@@ -212,21 +236,32 @@ def _grow_tree(X, y, n_classes, cfg: ForestConfig, rng: np.random.Generator) -> 
             or counts.max() == n_node
             or n_node < 2 * cfg.min_samples_leaf
         ):
-            return _leaf(counts)
+            return leaf(counts)
         feats = np.sort(rng.choice(d, size=k, replace=False))
         found = _best_split(X, y, idx, feats, n_classes, cfg.min_samples_leaf)
         if found is None:
-            return _leaf(counts)
-        feature, threshold = found
-        go_left = X[idx, feature] <= threshold
-        return Split(
-            feature_index=feature,
-            threshold=threshold,
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
-        )
+            return leaf(counts)
+        split_feature, split_threshold = found
+        at = len(feature)
+        feature.append(split_feature)
+        threshold.append(split_threshold)
+        right.append(-1)
+        go_left = X[idx, split_feature] <= split_threshold
+        build(idx[go_left], depth + 1)
+        right[at] = len(feature)
+        build(idx[~go_left], depth + 1)
 
-    return build(np.arange(n), 0)
+    build(np.arange(n), 0)
+    # ``build`` refers to itself through its closure; breaking that cycle
+    # frees this tree's bootstrap sample now instead of at the next
+    # garbage collection.
+    del build
+    return (
+        np.array(feature, dtype=np.int32),
+        np.array(threshold, dtype=np.float64),
+        np.array(right, dtype=np.int32),
+        np.array(leaf_counts, dtype=np.uint32),
+    )
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -266,11 +301,15 @@ def _fit_trees(X, y, n_classes, cfg: ForestConfig):
             results = [_train_one(i) for i in range(cfg.n_trees)]
     finally:
         _WORKER_STATE = {}
-    trees = tuple(tree for tree, _ in results)
+    feature, threshold, right, leaf_counts = (
+        np.concatenate(parts) for parts in zip(*(tree for tree, _ in results))
+    )
+    sizes = [tree[0].size for tree, _ in results]
+    nodes = ForestNodes(np.cumsum([0] + sizes[:-1]), feature, threshold, right, leaf_counts)
     seen = np.zeros(X.shape[0], dtype=bool)
     for _, chosen in results:
         seen[chosen] = True
-    return trees, float(seen.mean())
+    return nodes, float(seen.mean())
 
 
 def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:
@@ -287,7 +326,7 @@ def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:
     counts = np.bincount(y, minlength=n_classes)
     if (counts > 0).sum() < 2:
         raise EmptyTrainingSet("training needs samples from at least 2 classes")
-    trees, coverage = _fit_trees(X, y, n_classes, cfg)
+    nodes, coverage = _fit_trees(X, y, n_classes, cfg)
     digest = TrainingDigest(
         class_counts=tuple(int(c) for c in counts),
         rng_seed=cfg.rng_seed,
@@ -295,7 +334,7 @@ def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:
     )
     return ForestModel(
         config=cfg,
-        trees=trees,
+        nodes=nodes,
         feature_dim=X.shape[1],
         class_order=tuple(class_order),
         training_digest=digest,
@@ -320,60 +359,37 @@ def train(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def tree_predict_proba(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Walk one tree; reference implementation for the packed predictor."""
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.class_fractions
+# (row, tree) pairs walked together: bounds the memory of one prediction
+# chunk (about 70 bytes per pair at its peak), whatever the number of rows.
+_PAIR_BUDGET = 1 << 18
 
 
-@dataclass
-class _PackedForest:
-    feature: np.ndarray    # (n_nodes,) int32, -1 marks a leaf
-    threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int32
-    right: np.ndarray      # (n_nodes,) int32
-    fractions: np.ndarray  # (n_nodes, n_classes) float64, zero at splits
-    roots: np.ndarray      # (n_trees,) int32
+def _leaf_nodes(nodes: ForestNodes, X: np.ndarray) -> np.ndarray:
+    """Leaf that each (row, tree) pair reaches, shape (rows, trees).
 
-
-def _pack_forest(trees, n_classes) -> _PackedForest:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    fractions: list[np.ndarray] = []
-    roots = []
-    zero = np.zeros(n_classes)
-
-    def add(node: TreeNode) -> int:
-        at = len(feature)
-        if isinstance(node, Leaf):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            fractions.append(node.class_fractions)
-            return at
-        feature.append(node.feature_index)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        fractions.append(zero)
-        left[at] = add(node.left)
-        right[at] = add(node.right)
-        return at
-
-    for tree in trees:
-        roots.append(add(tree))
-    return _PackedForest(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        fractions=np.vstack(fractions),
-        roots=np.array(roots, dtype=np.int32),
-    )
+    All pairs descend one level per step; a pair leaves the working set when
+    it reaches a leaf, so each step costs only the pairs still walking.
+    Pairs are ordered tree by tree, so neighbouring pairs read the same
+    tree's nodes.
+    """
+    n_rows, dim = X.shape
+    flat = X.ravel()
+    node = np.repeat(nodes.roots, n_rows)  # pair p: tree p // n_rows, row p % n_rows
+    row_start = np.tile(np.arange(0, n_rows * dim, dim), nodes.n_trees)
+    pair = np.arange(node.size)
+    leaf = np.empty(node.size, dtype=np.intp)
+    while node.size:
+        feat = nodes.feature[node]
+        done = feat == LEAF
+        if done.any():
+            leaf[pair[done]] = node[done]
+            walking = ~done
+            node, feat, row_start, pair = (
+                node[walking], feat[walking], row_start[walking], pair[walking]
+            )
+        go_left = flat[row_start + feat] <= nodes.threshold[node]
+        node = np.where(go_left, node + 1, nodes.right_node[node])
+    return np.ascontiguousarray(leaf.reshape(nodes.n_trees, n_rows).T)
 
 
 def predict_proba_batch(model: ForestModel, X) -> np.ndarray:
@@ -383,20 +399,13 @@ def predict_proba_batch(model: ForestModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"query shape {X.shape} does not match feature_dim {model.feature_dim}"
         )
-    packed = model.packed()
-    n = X.shape[0]
-    current = np.tile(packed.roots, (n, 1))  # (n, n_trees)
-    row = np.arange(n)[:, None]
-    while True:
-        feat = packed.feature[current]
-        active = feat >= 0
-        if not active.any():
-            break
-        values = X[row, np.where(active, feat, 0)]
-        go_left = values <= packed.threshold[current]
-        step = np.where(go_left, packed.left[current], packed.right[current])
-        current = np.where(active, step, current)
-    return packed.fractions[current].mean(axis=1)
+    nodes = model.packed()
+    step = max(1, _PAIR_BUDGET // nodes.n_trees)
+    probs = np.empty((X.shape[0], nodes.fractions.shape[1]))
+    for start in range(0, X.shape[0], step):
+        leaves = _leaf_nodes(nodes, X[start : start + step])
+        probs[start : start + step] = nodes.fractions[leaves].mean(axis=1)
+    return probs
 
 
 def predict_proba(model: ForestModel, x) -> np.ndarray:

@@ -5,16 +5,29 @@ A frame either produces a :class:`~gazekit.core.Decision` or drops out with a
 typed reason: no parseable face record, a failed pupil stage (closed eye or
 no blob, head-and-eye mode only), or a decision whose confidence ratio did
 not clear the pruning threshold. The ledger counts survivors of each stage.
+
+``classify_frame`` takes one frame; ``classify_batch`` takes a micro-batch
+and predicts all of its frames in one call. Both run the same pupil, feature
+and decision stages, so they give the same outcome for the same frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .core import Decision, FrameRecord, GazekitError
 from .features import DegenerateBox, FeatureMode, MissingPupil, build_feature, feature_dim
-from .forest import DimensionMismatch, ForestConfig, ForestModel, predict_proba
+from .forest import (
+    DimensionMismatch,
+    ForestConfig,
+    ForestModel,
+    predict_proba,
+    predict_proba_batch,
+)
 from .pupil import DEFAULT_GRID, ParamGrid, PupilResult, PupilStatus, detect_pupil
 
 __all__ = [
@@ -23,6 +36,7 @@ __all__ = [
     "FrameOutcome",
     "AttritionLedger",
     "classify_frame",
+    "classify_batch",
     "decision_rates",
 ]
 
@@ -70,6 +84,39 @@ class FrameOutcome:
         return self.decision is not None and self.decision.accepted
 
 
+def _check_mode(model: ForestModel, cfg: PipelineConfig):
+    expected = feature_dim(cfg.mode)
+    if model.feature_dim != expected:
+        raise DimensionMismatch(
+            f"model feature_dim {model.feature_dim} incompatible with mode "
+            f"{cfg.mode.value} (expected {expected})"
+        )
+
+
+def _stage(record: FrameRecord | None, cfg: PipelineConfig, pupil: PupilResult | None):
+    """Pupil and feature stages of one frame: a drop outcome, or the
+    feature row and the pupil result it was built from."""
+    if record is None:
+        return FrameOutcome(decision=None, drop=DropReason.NO_FACE)
+    if cfg.mode is FeatureMode.HEAD_AND_EYE:
+        if pupil is None:
+            pupil = detect_pupil(record.eye_crop, record.eye_polygon, cfg.grid)
+        if pupil.status is not PupilStatus.DETECTED:
+            return FrameOutcome(decision=None, drop=DropReason.PUPIL_FAILED, pupil=pupil)
+    try:
+        features = build_feature(record, pupil, cfg.mode)
+    except (DegenerateBox, MissingPupil):
+        # Unusable geometry means the upstream alignment failed.
+        return FrameOutcome(decision=None, drop=DropReason.NO_FACE, pupil=pupil)
+    return features.as_array(), pupil
+
+
+def _decide(probs, cfg: PipelineConfig, pupil: PupilResult | None) -> FrameOutcome:
+    decision = Decision.from_probabilities(probs, cfg.confidence_threshold)
+    drop = None if decision.accepted else DropReason.LOW_CONFIDENCE
+    return FrameOutcome(decision=decision, drop=drop, pupil=pupil)
+
+
 def classify_frame(
     record: FrameRecord | None,
     model: ForestModel,
@@ -84,28 +131,27 @@ def classify_frame(
     pass-through. Raises DimensionMismatch when the model does not fit the
     configured mode.
     """
-    expected = feature_dim(cfg.mode)
-    if model.feature_dim != expected:
-        raise DimensionMismatch(
-            f"model feature_dim {model.feature_dim} incompatible with mode "
-            f"{cfg.mode.value} (expected {expected})"
-        )
-    if record is None:
-        return FrameOutcome(decision=None, drop=DropReason.NO_FACE)
-    if cfg.mode is FeatureMode.HEAD_AND_EYE:
-        if pupil is None:
-            pupil = detect_pupil(record.eye_crop, record.eye_polygon, cfg.grid)
-        if pupil.status is not PupilStatus.DETECTED:
-            return FrameOutcome(decision=None, drop=DropReason.PUPIL_FAILED, pupil=pupil)
-    try:
-        features = build_feature(record, pupil, cfg.mode)
-    except (DegenerateBox, MissingPupil):
-        # Unusable geometry means the upstream alignment failed.
-        return FrameOutcome(decision=None, drop=DropReason.NO_FACE, pupil=pupil)
-    probs = predict_proba(model, features.as_array())
-    decision = Decision.from_probabilities(probs, cfg.confidence_threshold)
-    drop = None if decision.accepted else DropReason.LOW_CONFIDENCE
-    return FrameOutcome(decision=decision, drop=drop, pupil=pupil)
+    _check_mode(model, cfg)
+    staged = _stage(record, cfg, pupil)
+    if isinstance(staged, FrameOutcome):
+        return staged
+    row, pupil = staged
+    return _decide(predict_proba(model, row), cfg, pupil)
+
+
+def classify_batch(
+    records: Sequence[FrameRecord | None], model: ForestModel, cfg: PipelineConfig
+) -> list[FrameOutcome]:
+    """``classify_frame`` over a micro-batch, with one batched prediction."""
+    _check_mode(model, cfg)
+    staged = [_stage(record, cfg, None) for record in records]
+    ready = [i for i, item in enumerate(staged) if not isinstance(item, FrameOutcome)]
+    outcomes = list(staged)
+    if ready:
+        probs = predict_proba_batch(model, np.stack([staged[i][0] for i in ready]))
+        for i, row_probs in zip(ready, probs):
+            outcomes[i] = _decide(row_probs, cfg, staged[i][1])
+    return outcomes
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Everything here is written for obviousness, not speed: explicit double loops
 for morphology, stack-based flood fill for components, exact rational
-arithmetic for tree splits, and projection-based geometry for the eye frame.
+arithmetic for tree splits, a node-by-node walk of one tree, and
+projection-based geometry for the eye frame.
 The production code must agree with these, not the other way around.
 """
 
@@ -197,3 +198,21 @@ def cart_oracle_predict(node: CartOracleNode, x) -> list[float]:
     while node.fractions is None:
         node = node.left if x[node.feature] <= node.threshold else node.right
     return node.fractions
+
+
+def tree_predict_proba(nodes, tree: int, x) -> np.ndarray:
+    """Walk one tree of a ``ForestNodes`` node by node.
+
+    Returns the class fractions of the leaf that ``x`` reaches, computed
+    from that leaf's class counts.
+    """
+    root = int(nodes.roots[tree])
+    node = root
+    while nodes.feature[node] >= 0:
+        if x[nodes.feature[node]] <= nodes.threshold[node]:
+            node += 1
+        else:
+            node = root + int(nodes.right[node])
+    leaf_row = int(np.count_nonzero(nodes.feature[:node] < 0))
+    counts = nodes.leaf_counts[leaf_row].astype(np.int64)
+    return counts / counts.sum()

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from gazekit.cli import main
-from gazekit.dataio import load_manifest, load_model
+from gazekit.cli import CLASSIFY_BATCH, _decision_obj, main
+from gazekit.dataio import iter_dataset, load_manifest, load_model
+from gazekit.features import FeatureMode
+from gazekit.pipeline import PipelineConfig, classify_frame
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,52 @@ def test_classify_handles_corrupt_lines_and_infinite_threshold(dataset, tmp_path
     assert all(l["status"] != "accepted" for l in out_lines)
 
 
+@pytest.mark.parametrize("mode", ["head-only", "head-eye"])
+def test_classify_batches_match_frame_by_frame(dataset, tmp_path, capsys, mode):
+    code, model_path, _ = _train(dataset, tmp_path, mode, capsys)
+    assert code == 0
+    data = tmp_path / "dropouts"
+    assert (
+        main(
+            [
+                "synth",
+                "--subjects", "1",
+                "--frames-per-region", "120",
+                "--seed", "11",
+                "--p-face-fail", "0.1",
+                "--p-pupil-fail", "0.2",
+                "--out", str(data),
+            ]
+        )
+        == 0
+    )
+    decisions = tmp_path / "batched.jsonl"
+    code = main(
+        [
+            "classify",
+            "--model", str(model_path),
+            "--data", str(data),
+            "--out", str(decisions),
+            "--confidence-threshold", "3",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+
+    model = load_model(model_path)
+    cfg = PipelineConfig(mode=FeatureMode(mode), confidence_threshold=3.0)
+    entries = list(iter_dataset(data / "frames.jsonl"))
+    assert len(entries) > CLASSIFY_BATCH and len(entries) % CLASSIFY_BATCH != 0
+    expected = "".join(
+        json.dumps(_decision_obj(e.line_number, e, classify_frame(e.record, model, cfg))) + "\n"
+        for e in entries
+    )
+    assert decisions.read_text() == expected
+    statuses = {json.loads(line)["status"] for line in expected.splitlines()}
+    assert {"accepted", "low_confidence", "no_face"} <= statuses
+    assert ("pupil_failed" in statuses) == (mode == "head-eye")
+
+
 def _evaluate(dataset, out_dir, extra=()):
     return main(
         [
@@ -268,6 +316,29 @@ def test_config_file_unknown_key(dataset, tmp_path, capsys):
     )
     assert code == 2
     assert "tress" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, values, code",
+    [
+        ("train", {"trees": "5"}, 2),
+        ("evaluate", {"repetitions": 2.5}, 2),
+        ("train", {"depth": True}, 2),
+        ("evaluate", {"fps": "30"}, 2),
+        ("evaluate", {"plots": 1}, 2),
+        ("evaluate", {"mode": 3}, 2),
+        # an int stands for a float; the missing dataset then fails the run
+        ("evaluate", {"fps": 30, "confidence_threshold": 2}, 3),
+    ],
+)
+def test_config_file_value_types(tmp_path, capsys, command, values, code):
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(values))
+    argv = [command, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert repr(next(iter(values))) in err
 
 
 def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):

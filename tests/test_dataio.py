@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gazekit.cli import main
 from gazekit.core import DataFormatError, GrayImage, REGIONS
 from gazekit.dataio import (
     MODEL_MAGIC,
@@ -17,7 +22,7 @@ from gazekit.dataio import (
     write_dataset,
     write_pgm,
 )
-from gazekit.forest import ForestConfig, predict_proba_batch, train_arrays
+from gazekit.forest import ForestConfig, ForestNodes, predict_proba_batch, train_arrays
 from gazekit.synth import SubjectProfile, iter_subject_frames
 
 
@@ -127,6 +132,34 @@ def test_parse_frame_obj_validates_fields(tmp_path):
         parse_frame_obj(broken, out)
 
 
+def test_hostile_frame_fields_become_no_face_lines(tmp_path):
+    out, frames, _ = _dataset(tmp_path)
+    crop = "crops/subj/000000.pgm"
+    outside = tmp_path / "outside.pgm"  # readable, but not in the dataset directory
+    outside.write_bytes((out / crop).read_bytes())
+    hostile = [
+        ("frame_index", True),
+        ("label", ["road"]),
+        ("eye_crop", str(outside)),
+        ("eye_crop", "crops/../../outside.pgm"),
+        ("eye_crop", 7),
+    ]
+    obj = frame_to_obj(frames[0].record, crop)
+    for key, value in hostile:
+        with pytest.raises(DataFormatError):
+            parse_frame_obj({**obj, key: value}, out)
+
+    jsonl = out / "frames.jsonl"
+    lines = jsonl.read_text().splitlines()
+    for i, (key, value) in enumerate(hostile):
+        lines[i] = json.dumps({**json.loads(lines[i]), key: value})
+    jsonl.write_text("\n".join(lines) + "\n")
+    parsed = list(iter_dataset(jsonl))
+    dropped = [line.record is None for line in parsed]
+    assert dropped == [i < len(hostile) for i in range(len(frames))]
+    assert all(line.error for line in parsed[: len(hostile)])
+
+
 def _trained_model(n_classes=6, seed=0, trees=9):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(40, 5))
@@ -175,6 +208,125 @@ def test_model_rejects_corruption(tmp_path):
     path.write_bytes(bytes(raw[: len(raw) // 2]))  # truncated payload
     with pytest.raises(DataFormatError):
         load_model(path)
+
+
+def _model_with(model, name, index, value):
+    """``model`` with one entry of one node array replaced, unchecked."""
+    arrays = {
+        field: getattr(model.nodes, field).copy()
+        for field in ("roots", "feature", "threshold", "right", "leaf_counts")
+    }
+    arrays[name][index] = value
+    with np.errstate(invalid="ignore"):
+        return dataclasses.replace(model, nodes=ForestNodes(**arrays))
+
+
+@pytest.mark.parametrize(
+    "name, index, value, message",
+    [
+        ("feature", 0, 500, "split feature index 500"),
+        ("feature", 0, -2, "unknown node tag"),
+        ("threshold", 0, np.nan, "non-finite"),
+        ("threshold", 0, -np.inf, "non-finite"),
+        ("right", 0, 0, "right child"),  # not after its parent
+        ("right", 0, 10**6, "right child"),  # outside its tree
+        ("leaf_counts", 0, 0, "no class mass"),
+    ],
+)
+def test_model_rejects_malformed_nodes(tmp_path, name, index, value, message):
+    model, _ = _trained_model()
+    assert model.nodes.feature[0] >= 0  # node 0 is a split
+    path = tmp_path / "m.gzkf"
+    path.write_bytes(model_bytes(_model_with(model, name, index, value)))
+    with pytest.raises(DataFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("first_tree_delta", [1, -1])
+def test_model_rejects_node_counts_that_miss_the_payload(tmp_path, first_tree_delta):
+    model, _ = _trained_model()
+    raw = bytearray(model_bytes(model))
+    sizes = model.nodes.tree_sizes
+    at = raw.index(sizes.astype("<u4").tobytes())
+    raw[at : at + 4] = struct.pack("<I", int(sizes[0]) + first_tree_delta)
+    path = tmp_path / "m.gzkf"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError):
+        load_model(path)
+
+
+def test_model_rejects_other_versions(tmp_path):
+    model, _ = _trained_model()
+    raw = model_bytes(model)
+    path = tmp_path / "m.gzkf"
+    path.write_bytes(raw[:4] + struct.pack("<H", 1) + raw[6:])
+    with pytest.raises(DataFormatError, match="unsupported model version 1"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def head_only_inputs(tmp_path_factory):
+    """A 12-frame dataset and a small valid head-only model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    profile = SubjectProfile("subj", head_gain=0.4, landmark_jitter=0.5, image_noise=5.0)
+    write_dataset(root / "data", iter_subject_frames(profile, 2, np.random.default_rng(0)))
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 136))
+    y = np.arange(60) % 6
+    model = train_arrays(X, y, REGIONS, ForestConfig(n_trees=3, max_depth=4, rng_seed=2))
+    return root, model
+
+
+def test_classify_rejects_out_of_range_feature_with_exit_3(head_only_inputs, capsys):
+    root, model = head_only_inputs
+    path = root / "feature500.gzkf"
+    path.write_bytes(model_bytes(_model_with(model, "feature", 0, 500)))
+    code = main(["classify", "--model", str(path), "--data", str(root / "data"),
+                 "--out", str(root / "d500.jsonl")])
+    assert code == 3
+    assert "split feature index 500" in capsys.readouterr().err
+
+
+_mutation = st.one_of(
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0), st.integers(1, 255)),
+                                         min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "truncate":
+        return raw[: arg % len(raw)]
+    if kind == "extend":
+        return raw + arg
+    out = bytearray(raw)
+    for position, mask in arg:
+        out[position % len(out)] ^= mask
+    return bytes(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutation)
+def test_mutated_model_bytes_load_cleanly_or_fail_as_data_errors(head_only_inputs, mutation):
+    root, model = head_only_inputs
+    path = root / "mutated.gzkf"
+    path.write_bytes(_mutate(model_bytes(model), mutation))
+    try:
+        model = load_model(path)
+    except DataFormatError:
+        pass
+    else:
+        if model.feature_dim <= 4096:  # a flipped header can ask for any width
+            queries = np.random.default_rng(3).normal(size=(4, model.feature_dim))
+            queries[0] = np.nan
+            probs = predict_proba_batch(model, queries)
+            assert np.all(probs >= 0.0)
+            assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    code = main(["classify", "--model", str(path), "--data", str(root / "data"),
+                 "--out", str(root / "decisions.jsonl")])
+    assert code in (0, 3)
 
 
 def test_parsed_line_is_plain_data():

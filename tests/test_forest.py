@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazekit import forest
 from gazekit.core import REGIONS
 from gazekit.dataio import model_bytes
 from gazekit.features import FeatureMode, FeatureVector
@@ -12,10 +13,10 @@ from gazekit.forest import (
     DimensionMismatch,
     EmptyClass,
     EmptyTrainingSet,
+    LEAF,
     ForestConfig,
     ForestModel,
-    Leaf,
-    Split,
+    ForestNodes,
     TrainingDigest,
     predict_proba,
     predict_proba_batch,
@@ -25,10 +26,9 @@ from gazekit.forest import (
     supersample_indices,
     train,
     train_arrays,
-    tree_predict_proba,
 )
 
-from oracles import cart_oracle, cart_oracle_predict
+from oracles import cart_oracle, cart_oracle_predict, tree_predict_proba
 
 
 def _toy_classes(n_per=8, seed=0):
@@ -88,29 +88,47 @@ def test_gzk_threads_does_not_change_the_model():
     assert model_bytes(serial) == model_bytes(parallel)
 
 
-def _manual_model(trees, n_classes=6):
-    cfg = ForestConfig(n_trees=len(trees), max_depth=5)
+def _manual_model(roots, feature, threshold, right, leaf_counts):
+    cfg = ForestConfig(n_trees=len(roots), max_depth=5)
+    nodes = ForestNodes(
+        roots=np.array(roots),
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        right=np.array(right, dtype=np.int32),
+        leaf_counts=np.array(leaf_counts, dtype=np.uint32),
+    )
     return ForestModel(
         config=cfg,
-        trees=tuple(trees),
+        nodes=nodes,
         feature_dim=2,
-        class_order=REGIONS[:n_classes],
-        training_digest=TrainingDigest((1,) * n_classes, 0, 1.0),
+        class_order=REGIONS,
+        training_digest=TrainingDigest((1,) * 6, 0, 1.0),
     )
 
 
 def test_predict_single_tree_passthrough():
-    leaf = Leaf(np.array([1.0, 0, 0, 0, 0, 0]))
-    model = _manual_model([leaf])
+    model = _manual_model([0], [LEAF], [0.0], [-1], [[1, 0, 0, 0, 0, 0]])
     assert predict_proba(model, [0.0, 0.0]) == pytest.approx([1, 0, 0, 0, 0, 0])
 
 
 def test_predict_two_tree_mean():
-    tree_a = Split(0, 0.5, Leaf(np.array([1.0, 0, 0, 0, 0, 0])), Leaf(np.array([0, 0, 0, 0, 0, 1.0])))
-    tree_b = Leaf(np.array([0, 1.0, 0, 0, 0, 0]))
-    model = _manual_model([tree_a, tree_b])
+    # tree a: split on x0 <= 0.5 into two leaves; tree b: a single leaf
+    model = _manual_model(
+        roots=[0, 3],
+        feature=[0, LEAF, LEAF, LEAF],
+        threshold=[0.5, 0.0, 0.0, 0.0],
+        right=[2, -1, -1, -1],
+        leaf_counts=[[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0]],
+    )
     assert predict_proba(model, [0.0, 0.0]) == pytest.approx([0.5, 0.5, 0, 0, 0, 0])
     assert predict_proba(model, [1.0, 0.0]) == pytest.approx([0, 0.5, 0, 0, 0, 0.5])
+
+
+def test_nan_feature_goes_right():
+    # NaN fails every <= comparison
+    model = _manual_model([0], [0, LEAF, LEAF], [0.5, 0.0, 0.0], [2, -1, -1],
+                          [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]])
+    assert predict_proba(model, [np.nan, 0.0]) == pytest.approx([0, 0, 0, 0, 0, 1])
 
 
 def test_packed_predictor_matches_tree_walk():
@@ -121,8 +139,24 @@ def test_packed_predictor_matches_tree_walk():
     queries = rng.normal(size=(25, 4))
     batched = predict_proba_batch(model, queries)
     for i, q in enumerate(queries):
-        walked = np.mean([tree_predict_proba(t, q) for t in model.trees], axis=0)
-        assert batched[i] == pytest.approx(walked.tolist(), abs=1e-12)
+        walked = np.mean(
+            [tree_predict_proba(model.nodes, t, q) for t in range(model.config.n_trees)], axis=0
+        )
+        assert np.array_equal(batched[i], walked)
+
+
+@pytest.mark.parametrize("budget", [1, 12, 30, 1000])
+def test_prediction_chunks_do_not_change_results(monkeypatch, budget):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(60, 4))
+    y = rng.integers(0, 6, size=60)
+    model = train_arrays(X, y, REGIONS, ForestConfig(n_trees=12, max_depth=7, rng_seed=3))
+    queries = rng.normal(size=(41, 4))
+    queries[3, 1] = np.nan
+    whole = predict_proba_batch(model, queries)
+    monkeypatch.setattr(forest, "_PAIR_BUDGET", budget)  # pairs per chunk
+    assert np.array_equal(predict_proba_batch(model, queries), whole)
+    assert np.array_equal(predict_proba(model, queries[3]), whole[3])
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,14 @@ import pytest
 
 from gazekit.core import GazeRegion
 from gazekit.features import FeatureMode
-from gazekit.forest import DimensionMismatch, ForestConfig, ForestModel, Leaf, TrainingDigest
+from gazekit.forest import (
+    LEAF,
+    DimensionMismatch,
+    ForestConfig,
+    ForestModel,
+    ForestNodes,
+    TrainingDigest,
+)
 from gazekit.core import REGIONS
 from gazekit.pipeline import (
     AttritionLedger,
@@ -18,10 +25,17 @@ from gazekit.pipeline import (
 from gazekit.synth import SubjectProfile, generate_frame
 
 
-def _leaf_model(fractions, feature_dim=138):
+def _leaf_model(counts, feature_dim=138):
+    """One-tree model whose only node is a leaf with these class counts."""
     return ForestModel(
         config=ForestConfig(n_trees=1, max_depth=1),
-        trees=(Leaf(np.asarray(fractions, dtype=float)),),
+        nodes=ForestNodes(
+            roots=np.array([0]),
+            feature=np.array([LEAF], dtype=np.int32),
+            threshold=np.zeros(1),
+            right=np.array([-1], dtype=np.int32),
+            leaf_counts=np.array([counts], dtype=np.uint32),
+        ),
         feature_dim=feature_dim,
         class_order=REGIONS,
         training_digest=TrainingDigest((1,) * 6, 0, 1.0),
@@ -55,7 +69,7 @@ def test_pupil_failed_drop_in_head_eye_mode():
 
 
 def test_low_confidence_drop():
-    model = _leaf_model([0.55, 0.05, 0.1, 0.1, 0.1, 0.1])
+    model = _leaf_model([11, 1, 2, 2, 2, 2])
     frame = _clean_frame()
     outcome = classify_frame(frame.record, model, PipelineConfig(confidence_threshold=10.0))
     assert outcome.drop is DropReason.LOW_CONFIDENCE
@@ -65,8 +79,8 @@ def test_low_confidence_drop():
 
 
 def test_accepted_decision_with_fixture_forest():
-    # leaves averaging to (11/12, 1/60 x5): confidence ratio 55
-    model = _leaf_model([11 / 12, 1 / 60, 1 / 60, 1 / 60, 1 / 60, 1 / 60])
+    # leaf fractions (11/12, 1/60 x5): confidence ratio 55
+    model = _leaf_model([55, 1, 1, 1, 1, 1])
     frame = _clean_frame()
     outcome = classify_frame(frame.record, model, PipelineConfig(confidence_threshold=10.0))
     assert outcome.accepted
@@ -75,7 +89,7 @@ def test_accepted_decision_with_fixture_forest():
 
 
 def test_infinite_confidence_always_accepted():
-    model = _leaf_model([1.0, 0, 0, 0, 0, 0])
+    model = _leaf_model([1, 0, 0, 0, 0, 0])
     frame = _clean_frame()
     outcome = classify_frame(frame.record, model, PipelineConfig(confidence_threshold=10.0))
     assert outcome.accepted
@@ -83,7 +97,7 @@ def test_infinite_confidence_always_accepted():
 
 
 def test_head_only_mode_skips_pupil_stage():
-    model = _leaf_model([1.0, 0, 0, 0, 0, 0], feature_dim=136)
+    model = _leaf_model([1, 0, 0, 0, 0, 0], feature_dim=136)
     frame = _clean_frame(occluded=True)  # closed eye must not matter
     cfg = PipelineConfig(mode=FeatureMode.HEAD_ONLY, confidence_threshold=10.0)
     outcome = classify_frame(frame.record, model, cfg)
@@ -91,14 +105,14 @@ def test_head_only_mode_skips_pupil_stage():
 
 
 def test_mode_model_mismatch():
-    model = _leaf_model([1.0, 0, 0, 0, 0, 0], feature_dim=136)
+    model = _leaf_model([1, 0, 0, 0, 0, 0], feature_dim=136)
     with pytest.raises(DimensionMismatch):
         classify_frame(_clean_frame().record, model, PipelineConfig())
 
 
 def test_threshold_monotonicity_of_acceptance():
     frame = _clean_frame()
-    model = _leaf_model([0.7, 0.1, 0.05, 0.05, 0.05, 0.05])  # confidence 7
+    model = _leaf_model([14, 2, 1, 1, 1, 1])  # confidence 7
     accepted = []
     for threshold in (1.0, 2.0, 5.0, 10.0, 20.0):
         outcome = classify_frame(frame.record, model, PipelineConfig(confidence_threshold=threshold))
@@ -108,7 +122,7 @@ def test_threshold_monotonicity_of_acceptance():
 
 def test_ledger_observe_and_merge():
     ledger = AttritionLedger()
-    model_hi = _leaf_model([11 / 12, 1 / 60, 1 / 60, 1 / 60, 1 / 60, 1 / 60])
+    model_hi = _leaf_model([55, 1, 1, 1, 1, 1])
     cfg = PipelineConfig(confidence_threshold=10.0)
     ledger.observe(classify_frame(None, model_hi, cfg))
     ledger.observe(classify_frame(_clean_frame(occluded=True).record, model_hi, cfg))
@@ -125,7 +139,7 @@ def test_ledger_observe_and_merge():
 
 
 def test_ledger_replay_is_exact():
-    model = _leaf_model([0.6, 0.3, 0.025, 0.025, 0.025, 0.025])
+    model = _leaf_model([24, 12, 1, 1, 1, 1])
     cfg = PipelineConfig(confidence_threshold=1.5)
     frames = [None, _clean_frame().record, _clean_frame(occluded=True).record]
 

@@ -60,7 +60,10 @@ def _parse_owl_thresholds(raw: str) -> tuple[float, float]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise UsageError("--owl-thresholds expects two comma-separated values")
-    low, high = (float(p) for p in parts)
+    try:
+        low, high = (float(p) for p in parts)
+    except ValueError as exc:
+        raise UsageError(f"--owl-thresholds: {exc}") from None
     if not low <= high:
         raise UsageError("--owl-thresholds must satisfy low <= high")
     return low, high
@@ -202,6 +205,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Lowest value of each numeric setting, and whether that value itself is
+# allowed. The forest, the study, the pruning rule and the rate report
+# refuse anything lower, and they would only do so after the pupil stage.
+_LOWER_BOUNDS = {
+    "trees": (1, True),
+    "depth": (1, True),
+    "min_leaf": (1, True),
+    "repetitions": (1, True),
+    "confidence_threshold": (1.0, True),
+    "fps": (0.0, False),
+}
+
+
+def _check_range(key: str, value):
+    low, inclusive = _LOWER_BOUNDS[key]
+    if not (value >= low if inclusive else value > low):  # NaN fails too
+        relation = ">=" if inclusive else ">"
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"{flag} must be {relation} {low}, got {value}")
+
+
 def _check_config_type(key: str, value, default):
     """A config-file value must have its default's type; an int may stand
     for a float. Keys whose default is None take any value."""
@@ -244,6 +268,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = from_file[key]
         else:
             resolved[key] = default
+        if key in _LOWER_BOUNDS:
+            _check_range(key, resolved[key])
     resolved["command"] = args.command
     return resolved
 

@@ -3,10 +3,18 @@
 Trees are CART classifiers: Gini impurity, thresholds at midpoints between
 consecutive sorted unique feature values, a uniformly sampled feature subset
 per split, and growth until the depth cap, purity, or the leaf-size floor.
-Every source of randomness derives from the configured seed (per-tree
-generators seeded with (seed, tree_index)), and split ties resolve to the
-lowest feature index then lowest threshold, so training is reproducible
-bit-for-bit. Prediction averages the leaf class fractions across trees.
+Split ties resolve to the lowest feature index then lowest threshold.
+Prediction averages the leaf class fractions across trees.
+
+Trees grow breadth-first (the presorted, level-wise CART of SPRINT, Shafer
+et al. 1996): feature ranks are computed once per forest, each level finds
+the best split of all its candidate nodes in one vectorized pass, and the
+nodes are put in preorder at the end. A bootstrap sample is held as row
+multiplicities, which split exactly as duplicated rows would.
+
+Tree ``i`` draws from its own generator, seeded with (seed, i): first the
+bootstrap sample, then the feature subsets, level by level, for the level's
+candidate nodes in breadth-first order. Training is reproducible bit for bit.
 
 Setting the ``GZK_THREADS`` environment variable above 1 trains trees in a
 process pool; results are identical to a serial run because each tree depends
@@ -15,6 +23,7 @@ only on its derived seed and trees are collected in index order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -167,101 +176,161 @@ def thread_count() -> int:
 # Tree growth
 # ---------------------------------------------------------------------------
 
-def _best_split(X, y, idx, feats, n_classes, min_leaf):
-    """Best (feature, threshold) among ``feats`` for the node ``idx``.
+def _dense_ranks(X):
+    """Per-feature dense ranks of ``X``: equal values share a rank.
 
-    Candidate quality is ranked by sum(left_counts^2)/n_left +
-    sum(right_counts^2)/n_right, which orders splits identically to weighted
-    Gini impurity but stays exact in float64 for the integer counts involved.
-    Returns None when no candidate threshold exists.
+    NaN ranks ``n``, above every value, and no boundary is taken below it:
+    it goes right of every threshold, as a ``<=`` test sends it. Ranked a
+    column at a time, so no (n, d) temporaries exist beside the result.
     """
-    n = idx.size
-    sub = X[np.ix_(idx, feats)]  # (n, k)
-    # Unstable sort is fine: boundaries between equal values are never valid
-    # split points, and counts below a strict boundary are order-invariant.
-    order = np.argsort(sub, axis=0)
-    sorted_vals = np.take_along_axis(sub, order, axis=0)
+    ranks = np.empty(X.shape, dtype=np.int32)
+    for f in range(X.shape[1]):
+        ranks[:, f] = np.unique(X[:, f], return_inverse=True)[1]
+    ranks[np.isnan(X)] = X.shape[0]
+    return ranks
 
-    labels_sorted = y[idx][order]  # (n, k)
-    one_hot = labels_sorted[..., None] == np.arange(n_classes)  # (n, k, C)
-    # int32 keeps counts and their squares exact up to n ~ 46k
-    count_dtype = np.int32 if n < 40_000 else np.int64
-    cum = np.cumsum(one_hot, axis=0, dtype=count_dtype)
-    left = cum[:-1]  # counts left of each boundary, (n-1, k, C)
-    right = cum[-1][None] - left
 
-    n_left = np.arange(1, n, dtype=np.int64)[:, None]  # (n-1, 1)
-    n_right = n - n_left
-    sq_left = np.einsum("ijc,ijc->ij", left, left).astype(np.int64)
-    sq_right = np.einsum("ijc,ijc->ij", right, right).astype(np.int64)
-    quality = (sq_left * n_right + sq_right * n_left) / (n_left * n_right)
+def _run_starts(ids):
+    """Positions where a run of equal values of ``ids`` begins."""
+    return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
 
-    valid = (
-        (sorted_vals[1:] > sorted_vals[:-1])
-        & (n_left >= min_leaf)
-        & (n_right >= min_leaf)
+
+def _running(v, group, group_totals):
+    """Sums of ``v`` over the rows of each group up to and including each
+    row, where the groups are consecutive and their totals are known."""
+    return np.cumsum(v) - (np.cumsum(group_totals) - group_totals)[group]
+
+
+def _level_splits(counts, feats, rows, slot, data, weight, min_leaf):
+    """Best split of every candidate node of one level, in one pass.
+
+    ``counts`` (m, C) are the candidates' weighted class counts, ``feats``
+    (m, k) their drawn features in ascending order, and row ``rows[i]`` is
+    in candidate ``slot[i]``. One argsort orders the rows of every
+    (candidate, feature) pair by rank; running sums over each pair then give
+    n_left, sum(left_counts^2) and sum(right_counts^2) at every boundary
+    between two ranks. The quality sum(left_counts^2)/n_left +
+    sum(right_counts^2)/n_right orders splits as weighted Gini does and is
+    one float64 division of exact integers. The first best boundary in
+    (candidate, feature, rank) order wins: lowest feature, then lowest
+    threshold.
+
+    Returns the candidates that split, and their features and thresholds.
+    """
+    X, y, ranks = data
+    k = feats.shape[1]
+    n_classes = counts.shape[1]
+    pair = (slot[:, None] * k + np.arange(k)).ravel()
+    row = np.repeat(rows, k)
+    rank = ranks.ravel()[row * X.shape[1] + feats.ravel()[pair]]
+    n_ranks = X.shape[0] + 1  # NaN included
+    order = np.argsort(pair * n_ranks + rank)
+    pair, row, rank = pair[order], row[order], rank[order]
+    label, w = y[row], weight[row]
+    node = pair // k
+    # Every pair holds all rows of its candidate, so its class counts are
+    # the candidate's.
+    pair_counts = np.repeat(counts, k, axis=0)
+    pair_sq = np.repeat((counts * counts).sum(axis=1), k)
+
+    # Weight of each row's class ahead of it in its pair: one running sum
+    # over the rows taken class by class (a stable sort keeps rank order).
+    by_class = np.argsort(label.astype(np.min_scalar_type(n_classes)), kind="stable")
+    w_by_class = w[by_class]
+    ahead = np.empty_like(w)
+    ahead[by_class] = _running(
+        w_by_class, (label * pair_counts.shape[0] + pair)[by_class], pair_counts.T.ravel()
+    ) - w_by_class
+    n_left = _running(w, pair, pair_counts.sum(axis=1))
+    sq_left = _running(w * (2 * ahead + w), pair, pair_sq)
+    cross = _running(w * pair_counts.ravel()[pair * n_classes + label], pair, pair_sq)
+    n_right = counts.sum(axis=1)[node] - n_left
+    sq_right = pair_sq[pair] - 2 * cross + sq_left
+
+    # A boundary sits between positions i and i + 1 of one pair.
+    upper = rank[1:]
+    at = np.flatnonzero(
+        (pair[1:] == pair[:-1]) & (upper > rank[:-1]) & (upper < n_ranks - 1)
+        & (n_left[:-1] >= min_leaf) & (n_right[:-1] >= min_leaf)
     )
-    if not valid.any():
-        return None
-    quality = np.where(valid, quality, -np.inf)
-    best_quality = quality.max()
-    positions, columns = np.nonzero(quality == best_quality)
-    thresholds = (sorted_vals[positions, columns] + sorted_vals[positions + 1, columns]) * 0.5
-    ranked = sorted(zip(feats[columns], thresholds))
-    feature, threshold = ranked[0]
-    return int(feature), float(threshold)
+    if not at.size:
+        return at, feats[:0, 0], X[:0, 0]
+    node, n_left, n_right = node[at], n_left[at], n_right[at]
+    quality = (sq_left[at] * n_right + sq_right[at] * n_left) / (n_left * n_right)
+    seg = _run_starts(node)
+    best = np.maximum.reduceat(quality, seg)
+    tied = np.flatnonzero(quality == np.repeat(best, np.diff(seg, append=at.size)))
+    win = tied[_run_starts(node[tied])]
+    node, at = node[win], at[win]
+    feature = feats[node, pair[at] % k]
+    # Both rows hold numbers (NaN is never a boundary's upper side); equal
+    # ranks mean equal values, and 0.0 and -0.0 give the same midpoint.
+    threshold = (X[row[at], feature] + X[row[at + 1], feature]) * 0.5
+    return node, feature, threshold
 
 
-def _grow_tree(X, y, n_classes, cfg: ForestConfig, rng: np.random.Generator):
-    """Grow one tree; returns its preorder node arrays, as ForestNodes holds them."""
-    n, d = X.shape
-    k = cfg.features_per_split or max(1, int(math.floor(math.sqrt(d))))
-    k = min(k, d)
-    feature: list[int] = []
-    threshold: list[float] = []
-    right: list[int] = []
-    leaf_counts: list[np.ndarray] = []
+def _grow_tree(data, weight, n_classes, cfg: ForestConfig, rng: np.random.Generator):
+    """Grow one tree breadth-first on the rows of positive ``weight``.
 
-    def leaf(counts: np.ndarray):
-        feature.append(LEAF)
-        threshold.append(0.0)
-        right.append(-1)
-        leaf_counts.append(counts)
+    Each level finds the best split of all its candidate nodes at once; the
+    nodes are then laid out in preorder, as ForestNodes holds them.
+    """
+    X, y, _ = data
+    d = X.shape[1]
+    k = min(cfg.features_per_split or max(1, int(math.floor(math.sqrt(d)))), d)
+    rows = np.flatnonzero(weight)
+    node_of = np.zeros(rows.size, dtype=np.intp)  # node of each row within its level
+    counts = np.bincount(y[rows], weight[rows], n_classes).astype(np.int64)[None]
+    levels = []  # per level: (feature, threshold, counts) of its nodes
+    for depth in itertools.count():
+        m = counts.shape[0]
+        n_node = counts.sum(axis=1)
+        feature = np.full(m, LEAF, dtype=np.int32)
+        threshold = np.zeros(m)
+        candidate = (counts.max(axis=1) < n_node) & (n_node >= 2 * cfg.min_samples_leaf)
+        if depth < cfg.max_depth and candidate.any():
+            cand = np.flatnonzero(candidate)
+            feats = np.sort(np.argsort(rng.random((cand.size, d)), axis=1)[:, :k], axis=1)
+            in_cand = candidate[node_of]
+            slot = (np.cumsum(candidate) - 1)[node_of[in_cand]]
+            split, feature_at, threshold_at = _level_splits(
+                counts[cand], feats, rows[in_cand], slot, data, weight, cfg.min_samples_leaf
+            )
+            feature[cand[split]] = feature_at
+            threshold[cand[split]] = threshold_at
+        levels.append((feature, threshold, counts))
+        is_split = feature != LEAF
+        if not is_split.any():
+            break
+        keep = is_split[node_of]
+        rows, node_of = rows[keep], node_of[keep]
+        go_right = ~(X.ravel()[rows * d + feature[node_of]] <= threshold[node_of])
+        node_of = 2 * (np.cumsum(is_split) - 1)[node_of] + go_right
+        n_children = 2 * int(is_split.sum())
+        counts = np.bincount(
+            node_of * n_classes + y[rows], weight[rows], n_children * n_classes
+        ).astype(np.int64).reshape(n_children, n_classes)
+    return _preorder(levels)
 
-    def build(idx: np.ndarray, depth: int):
-        counts = np.bincount(y[idx], minlength=n_classes)
-        n_node = idx.size
-        if (
-            depth >= cfg.max_depth
-            or counts.max() == n_node
-            or n_node < 2 * cfg.min_samples_leaf
-        ):
-            return leaf(counts)
-        feats = np.sort(rng.choice(d, size=k, replace=False))
-        found = _best_split(X, y, idx, feats, n_classes, cfg.min_samples_leaf)
-        if found is None:
-            return leaf(counts)
-        split_feature, split_threshold = found
-        at = len(feature)
-        feature.append(split_feature)
-        threshold.append(split_threshold)
-        right.append(-1)
-        go_left = X[idx, split_feature] <= split_threshold
-        build(idx[go_left], depth + 1)
-        right[at] = len(feature)
-        build(idx[~go_left], depth + 1)
 
-    build(np.arange(n), 0)
-    # ``build`` refers to itself through its closure; breaking that cycle
-    # frees this tree's bootstrap sample now instead of at the next
-    # garbage collection.
-    del build
-    return (
-        np.array(feature, dtype=np.int32),
-        np.array(threshold, dtype=np.float64),
-        np.array(right, dtype=np.int32),
-        np.array(leaf_counts, dtype=np.uint32),
-    )
+def _preorder(levels):
+    """Preorder node arrays of a tree given level by level, where the
+    children of the i-th split node (breadth-first) are nodes 2i + 1 and
+    2i + 2."""
+    feature, threshold, counts = (np.concatenate(part) for part in zip(*levels))
+    is_split = feature != LEAF
+    left = np.full(feature.size, -1)
+    left[is_split] = 1 + 2 * np.arange(np.count_nonzero(is_split))
+    order, stack, left_of = [], [0], left.tolist()
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if left_of[node] >= 0:
+            stack += (left_of[node] + 1, left_of[node])
+    position = np.empty(feature.size, dtype=np.int32)
+    position[order] = np.arange(feature.size)
+    right = np.where(is_split, position[left + 1], -1)[order]
+    return feature[order], threshold[order], right, counts[order][~is_split[order]].astype(np.uint32)
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -272,25 +341,22 @@ _WORKER_STATE: dict = {}
 
 
 def _train_one(index: int):
-    X = _WORKER_STATE["X"]
-    y = _WORKER_STATE["y"]
+    data = _WORKER_STATE["data"]
     n_classes = _WORKER_STATE["n_classes"]
     cfg: ForestConfig = _WORKER_STATE["cfg"]
     rng = _tree_rng(cfg.rng_seed, index)
-    n = X.shape[0]
+    n = data[0].shape[0]
     if cfg.bootstrap:
-        chosen = rng.integers(0, n, size=n)
-        tree = _grow_tree(X[chosen], y[chosen], n_classes, cfg, rng)
-        seen = np.unique(chosen)
+        # Row multiplicities: weighted counts split exactly as duplicated rows.
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
     else:
-        tree = _grow_tree(X, y, n_classes, cfg, rng)
-        seen = np.arange(n)
-    return tree, seen
+        weight = np.ones(n, dtype=np.int64)
+    return _grow_tree(data, weight, n_classes, cfg, rng), np.flatnonzero(weight)
 
 
 def _fit_trees(X, y, n_classes, cfg: ForestConfig):
     global _WORKER_STATE
-    _WORKER_STATE = {"X": X, "y": y, "n_classes": n_classes, "cfg": cfg}
+    _WORKER_STATE = {"data": (X, y, _dense_ranks(X)), "n_classes": n_classes, "cfg": cfg}
     workers = min(thread_count(), cfg.n_trees)
     try:
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -320,6 +386,9 @@ def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:
         raise EmptyTrainingSet("training set is empty")
     if y.shape != (X.shape[0],):
         raise DimensionMismatch(f"labels shape {y.shape} does not match {X.shape[0]} samples")
+    if np.isinf(X).any():
+        # A midpoint threshold next to an infinity sends every row one way.
+        raise ValueError("training features must not be infinite")
     n_classes = len(class_order)
     if y.min() < 0 or y.max() >= n_classes:
         raise DimensionMismatch("label codes must index class_order")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Decision, FrameRecord, GazekitError
+from .core import REGIONS, DataFormatError, Decision, FrameRecord, GazekitError
 from .features import DegenerateBox, FeatureMode, MissingPupil, build_feature, feature_dim
 from .forest import (
     DimensionMismatch,
@@ -84,13 +84,22 @@ class FrameOutcome:
         return self.decision is not None and self.decision.accepted
 
 
-def _check_mode(model: ForestModel, cfg: PipelineConfig):
+def _check_model(model: ForestModel, cfg: PipelineConfig) -> np.ndarray:
+    """Check that the model fits the configured mode and that its classes
+    are the six regions; returns the column of each region, in ``REGIONS``
+    order, of the model's probability rows."""
     expected = feature_dim(cfg.mode)
     if model.feature_dim != expected:
         raise DimensionMismatch(
             f"model feature_dim {model.feature_dim} incompatible with mode "
             f"{cfg.mode.value} (expected {expected})"
         )
+    order = model.class_order
+    if len(order) != len(REGIONS) or set(order) != set(REGIONS):
+        raise DataFormatError(
+            f"model classes {[str(c) for c in order]} are not the six gaze regions"
+        )
+    return np.array([order.index(region) for region in REGIONS])
 
 
 def _stage(record: FrameRecord | None, cfg: PipelineConfig, pupil: PupilResult | None):
@@ -129,26 +138,27 @@ def classify_frame(
     unparseable (a face-detection failure). A precomputed ``pupil`` may be
     passed to skip re-detection; in head-only mode the pupil stage is a
     pass-through. Raises DimensionMismatch when the model does not fit the
-    configured mode.
+    configured mode, and DataFormatError when its classes are not the six
+    regions; the decision reads the model's columns in its class order.
     """
-    _check_mode(model, cfg)
+    columns = _check_model(model, cfg)
     staged = _stage(record, cfg, pupil)
     if isinstance(staged, FrameOutcome):
         return staged
     row, pupil = staged
-    return _decide(predict_proba(model, row), cfg, pupil)
+    return _decide(predict_proba(model, row)[columns], cfg, pupil)
 
 
 def classify_batch(
     records: Sequence[FrameRecord | None], model: ForestModel, cfg: PipelineConfig
 ) -> list[FrameOutcome]:
     """``classify_frame`` over a micro-batch, with one batched prediction."""
-    _check_mode(model, cfg)
+    columns = _check_model(model, cfg)
     staged = [_stage(record, cfg, None) for record in records]
     ready = [i for i, item in enumerate(staged) if not isinstance(item, FrameOutcome)]
     outcomes = list(staged)
     if ready:
-        probs = predict_proba_batch(model, np.stack([staged[i][0] for i in ready]))
+        probs = predict_proba_batch(model, np.stack([staged[i][0] for i in ready]))[:, columns]
         for i, row_probs in zip(ready, probs):
             outcomes[i] = _decide(row_probs, cfg, staged[i][1])
     return outcomes

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from gazekit.cli import CLASSIFY_BATCH, _decision_obj, main
-from gazekit.dataio import iter_dataset, load_manifest, load_model
-from gazekit.features import FeatureMode
+from gazekit.core import REGIONS
+from gazekit.dataio import iter_dataset, load_manifest, load_model, save_model
+from gazekit.features import FeatureMode, build_feature
+from gazekit.forest import ForestConfig, train_arrays
 from gazekit.pipeline import PipelineConfig, classify_frame
 
 
@@ -347,3 +349,87 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("train", "trees", 0),
+        ("train", "depth", 0),
+        ("train", "min_leaf", 0),
+        ("evaluate", "trees", 0),
+        ("evaluate", "repetitions", 0),
+        ("evaluate", "confidence_threshold", 0.5),
+        ("evaluate", "fps", 0.0),
+        ("classify", "confidence_threshold", 0.5),
+        ("classify", "confidence_threshold", float("nan")),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, command, key, value, source):
+    # The dataset and model do not exist: reading either would exit 3.
+    argv = [command, "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
+    if command == "classify":
+        argv += ["--model", str(tmp_path / "nope.gzkf")]
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv += [flag, str(value)]
+    else:
+        config = tmp_path / "range.json"
+        config.write_text(json.dumps({key: value}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_owl_thresholds_must_be_numbers(tmp_path, capsys, source):
+    argv = ["evaluate", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--owl-thresholds", "a,b"]
+    else:
+        config = tmp_path / "owl.json"
+        config.write_text(json.dumps({"owl_thresholds": "0.4,high"}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert "--owl-thresholds" in capsys.readouterr().err
+
+
+def _head_only_rows(dataset):
+    entries = [e for e in iter_dataset(dataset / "frames.jsonl") if e.record is not None]
+    X = np.stack(
+        [build_feature(e.record, None, FeatureMode.HEAD_ONLY).as_array() for e in entries]
+    )
+    return entries, X
+
+
+def test_classify_reads_probabilities_in_the_model_class_order(dataset, tmp_path, capsys):
+    entries, X = _head_only_rows(dataset)
+    reversed_regions = REGIONS[::-1]
+    y = np.array([reversed_regions.index(e.record.label) for e in entries])
+    model = train_arrays(X, y, reversed_regions, ForestConfig(n_trees=20, rng_seed=1))
+    model_path = tmp_path / "reversed.gzkf"
+    save_model(model, model_path)
+    decisions = tmp_path / "decisions.jsonl"
+    argv = ["classify", "--model", str(model_path), "--data", str(dataset)]
+    assert main([*argv, "--out", str(decisions), "--confidence-threshold", "1"]) == 0
+    capsys.readouterr()
+    truth = {e.line_number: e.record.label.value for e in entries}
+    accepted = [
+        line for line in map(json.loads, decisions.read_text().splitlines())
+        if line["status"] == "accepted"
+    ]
+    assert len(accepted) > 0.9 * len(entries)
+    correct = sum(line["region"] == truth[line["line"]] for line in accepted)
+    assert correct > 0.95 * len(accepted)
+
+
+def test_classify_refuses_a_model_without_the_six_regions(dataset, tmp_path, capsys):
+    entries, X = _head_only_rows(dataset)
+    y = np.arange(len(entries)) % 3
+    model = train_arrays(X, y, ("alpha", "beta", "gamma"), ForestConfig(n_trees=2, max_depth=3))
+    model_path = tmp_path / "generic.gzkf"
+    save_model(model, model_path)
+    argv = ["classify", "--model", str(model_path), "--data", str(dataset)]
+    assert main([*argv, "--out", str(tmp_path / "d.jsonl")]) == 3
+    assert "six gaze regions" in capsys.readouterr().err

@@ -64,6 +64,72 @@ def test_single_unbagged_tree_matches_exhaustive_cart_oracle():
         assert predict_proba(model, q)[:3] == pytest.approx(cart_oracle_predict(oracle, q))
 
 
+def _oracle_preorder(node, out):
+    """(feature, threshold, leaf fractions) of an oracle tree, in preorder."""
+    if node.fractions is not None:
+        out.append((LEAF, 0.0, list(node.fractions)))
+        return out
+    out.append((node.feature, node.threshold, None))
+    _oracle_preorder(node.left, out)
+    return _oracle_preorder(node.right, out)
+
+
+def _model_preorder(model, tree):
+    nodes = model.nodes
+    start = int(nodes.roots[tree])
+    span = range(start, start + int(nodes.tree_sizes[tree]))
+    return [
+        (int(nodes.feature[i]), float(nodes.threshold[i]),
+         nodes.fractions[i].tolist() if nodes.feature[i] == LEAF else None)
+        for i in span
+    ]
+
+
+@st.composite
+def _tie_heavy_problem(draw):
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    n_classes = draw(st.integers(2, 4))
+    values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5])
+    X = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n)))
+    labels = st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)
+    y = np.array(draw(labels.filter(lambda v: len(set(v)) >= 2)))
+    return X, y, n_classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _tie_heavy_problem(),
+    st.sampled_from([1, 2, 3, 4, 10**6]),
+    st.sampled_from([1, 2, 3]),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_level_wise_trees_equal_the_exhaustive_oracle(problem, max_depth, min_leaf, bootstrap, seed):
+    """Unbagged trees equal the oracle on the data; bagged trees equal it on
+    their own bootstrap sample, which the grower weighs instead of copying."""
+    X, y, n_classes = problem
+    n, d = X.shape
+    cfg = ForestConfig(
+        n_trees=3 if bootstrap else 1, max_depth=max_depth, features_per_split=d,
+        min_samples_leaf=min_leaf, bootstrap=bootstrap, rng_seed=seed,
+    )
+    model = train_arrays(X, y, tuple(range(n_classes)), cfg)
+    for tree in range(cfg.n_trees):
+        rows = np.arange(n)
+        if bootstrap:
+            rows = forest._tree_rng(seed, tree).integers(0, n, size=n)
+        oracle = cart_oracle(X[rows], y[rows], n_classes, max_depth, min_leaf)
+        assert _model_preorder(model, tree) == _oracle_preorder(oracle, [])
+
+
+def test_infinite_training_features_are_refused():
+    X, y = _toy_classes()
+    X[3, 0] = np.inf
+    with pytest.raises(ValueError, match="infinite"):
+        train_arrays(X, y, REGIONS, ForestConfig(n_trees=1))
+
+
 def test_training_is_deterministic_and_byte_identical():
     X, y = _toy_classes(n_per=12, seed=4)
     cfg = ForestConfig(n_trees=15, max_depth=6, rng_seed=99)
@@ -201,7 +267,10 @@ def test_train_from_feature_vector_pairs():
             head = np.zeros(136)
             head[i] = 1.0 + rng.normal(0, 0.01)
             samples.append((FeatureVector(head=head, eye=None, mode=FeatureMode.HEAD_ONLY), region))
-    model = train(samples, ForestConfig(n_trees=30, max_depth=8, rng_seed=2))
+    # Only 6 of the 136 features carry a signal and a split draws 11, so a
+    # 30-tree forest learns every region for only some seeds; 100 trees
+    # learn them for every seed tried (60 of 60).
+    model = train(samples, ForestConfig(n_trees=100, max_depth=8, rng_seed=2))
     assert model.feature_dim == 136
     assert model.class_order == REGIONS
     for i, region in enumerate(REGIONS):

@@ -19,7 +19,7 @@ from .core import (
     region_index,
 )
 from .features import FeatureMode, FeatureVector, build_feature
-from .forest import ForestConfig, ForestModel, predict_proba, train
+from .forest import ForestConfig, ForestModel, predict_proba
 from .pipeline import AttritionLedger, PipelineConfig, classify_frame, decision_rates
 from .pupil import ParamGrid, PupilResult, PupilStatus, detect_pupil
 
@@ -41,7 +41,6 @@ __all__ = [
     "ForestConfig",
     "ForestModel",
     "predict_proba",
-    "train",
     "AttritionLedger",
     "PipelineConfig",
     "classify_frame",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,17 +27,16 @@ from .core import (
     N_REGIONS,
     NOSE_TIP_INDEX,
     REGIONS,
-    FrameRecord,
     GazekitError,
+    decide,
     region_index,
 )
-from .features import (
-    DegenerateBox,
-    DegenerateEye,
+from .features import (  # normalize_* stay bound here for perfbench's tracer
+    EYE_DIM,
+    HEAD_DIM,
     FeatureMode,
     normalize_landmarks,
     normalize_pupil,
-    nose_tip_normalized,
 )
 from .forest import (
     ForestConfig,
@@ -47,12 +46,15 @@ from .forest import (
     supersample_indices,
     train_arrays,
 )
-from .pipeline import AttritionLedger
-from .pupil import DEFAULT_GRID, ParamGrid, PupilResult, PupilStatus, detect_pupil
+from .pipeline import AttritionLedger, DropReason, mode_matrix, stage_frame
+from .pupil import (  # detect_pupil stays bound here for perfbench's tracer
+    DEFAULT_GRID,
+    ParamGrid,
+    detect_pupil,
+)
 
 __all__ = [
     "MissingBackground",
-    "NoQualifyingFrames",
     "InsufficientData",
     "ModeMismatch",
     "Strategy",
@@ -60,15 +62,10 @@ __all__ = [
     "BackgroundModel",
     "OwlnessReport",
     "ConfusionMatrix",
-    "owlness_frame",
-    "owlness_subject",
     "classify_strategy",
-    "build_background",
     "PreparedSubject",
     "PreparedDataset",
     "prepare_dataset",
-    "mode_matrix",
-    "decide_batch",
     "background_from_prepared",
     "owlness_from_prepared",
     "EvalConfig",
@@ -87,10 +84,6 @@ DEFAULT_OWL_THRESHOLDS = (0.45, 0.55)
 
 class MissingBackground(GazekitError):
     """No background model exists for the requested subject."""
-
-
-class NoQualifyingFrames(GazekitError):
-    """A subject has no frames that passed pupil detection."""
 
 
 class InsufficientData(GazekitError):
@@ -141,26 +134,6 @@ class OwlnessReport:
     frame_count: int
 
 
-def _owlness_from_points(nose, pupil, background: SubjectBackground):
-    d_head = float(np.linalg.norm(np.asarray(nose) - background.mean_nose))
-    d_pupil = float(np.linalg.norm(np.asarray(pupil) - background.mean_pupil))
-    total = d_head + d_pupil
-    # A motionless frame carries no strategy information; call it neutral.
-    owlness = 0.5 if total == 0.0 else d_head / total
-    return owlness, d_head, d_pupil
-
-
-def owlness_frame(record: FrameRecord, pupil: PupilResult, bg: BackgroundModel) -> float:
-    """Owlness of one frame against its subject's background model."""
-    if pupil.status is not PupilStatus.DETECTED:
-        raise NoQualifyingFrames("owlness needs a detected pupil")
-    background = bg.for_subject(record.subject_id)
-    nose = nose_tip_normalized(normalize_landmarks(record.landmarks))
-    pupil_uv = normalize_pupil(pupil.center, record.eye_polygon)
-    owlness, _, _ = _owlness_from_points(nose, pupil_uv, background)
-    return owlness
-
-
 def classify_strategy(owlness: float, thresholds=DEFAULT_OWL_THRESHOLDS) -> Strategy:
     low, high = thresholds
     if not low <= high:
@@ -170,65 +143,6 @@ def classify_strategy(owlness: float, thresholds=DEFAULT_OWL_THRESHOLDS) -> Stra
     if owlness > high:
         return Strategy.OWL
     return Strategy.MIXED
-
-
-def owlness_subject(
-    frames: Sequence[FrameRecord],
-    pupils: Sequence[PupilResult],
-    bg: BackgroundModel,
-    thresholds=DEFAULT_OWL_THRESHOLDS,
-) -> OwlnessReport:
-    """Average per-frame owlness over a subject's pupil-passing frames."""
-    values = []
-    head = []
-    pupil_d = []
-    subject_id = None
-    for record, pupil in zip(frames, pupils):
-        if pupil.status is not PupilStatus.DETECTED:
-            continue
-        subject_id = record.subject_id
-        background = bg.for_subject(record.subject_id)
-        nose = nose_tip_normalized(normalize_landmarks(record.landmarks))
-        pupil_uv = normalize_pupil(pupil.center, record.eye_polygon)
-        m, dh, dp = _owlness_from_points(nose, pupil_uv, background)
-        values.append(m)
-        head.append(dh)
-        pupil_d.append(dp)
-    if not values:
-        raise NoQualifyingFrames("no frames with a detected pupil")
-    owlness = float(np.mean(values))
-    return OwlnessReport(
-        subject_id=subject_id,
-        owlness=owlness,
-        mean_head_dist=float(np.mean(head)),
-        mean_pupil_dist=float(np.mean(pupil_d)),
-        strategy=classify_strategy(owlness, thresholds),
-        frame_count=len(values),
-    )
-
-
-def build_background(
-    frames: Sequence[FrameRecord], pupils: Sequence[PupilResult]
-) -> BackgroundModel:
-    """Per-subject means over exactly the frames that passed pupil detection."""
-    noses: dict[str, list] = {}
-    pupil_pts: dict[str, list] = {}
-    for record, pupil in zip(frames, pupils):
-        if pupil.status is not PupilStatus.DETECTED:
-            continue
-        nose = nose_tip_normalized(normalize_landmarks(record.landmarks))
-        uv = normalize_pupil(pupil.center, record.eye_polygon)
-        noses.setdefault(record.subject_id, []).append(nose)
-        pupil_pts.setdefault(record.subject_id, []).append(uv)
-    subjects = {
-        sid: SubjectBackground(
-            mean_nose=tuple(np.mean(noses[sid], axis=0)),
-            mean_pupil=tuple(np.mean(pupil_pts[sid], axis=0)),
-            frame_count=len(noses[sid]),
-        )
-        for sid in noses
-    }
-    return BackgroundModel(subjects=subjects)
 
 
 class ConfusionMatrix:
@@ -273,11 +187,10 @@ class ConfusionMatrix:
 @dataclass
 class PreparedSubject:
     subject_id: str
-    labels: np.ndarray      # (n,) region codes for frames with a parsed face
+    labels: np.ndarray      # (n,) region codes of the frames with a face
     head: np.ndarray        # (n, 136)
     pupil_uv: np.ndarray    # (n, 2); NaN where the pupil stage failed
     pupil_ok: np.ndarray    # (n,) bool
-    n_records: int          # including face-detection failures
 
     @property
     def n_faces(self) -> int:
@@ -307,71 +220,61 @@ class PreparedDataset:
     def subject_ids(self) -> list[str]:
         return list(self.subjects)
 
+    def pupil_pool(self, mode: FeatureMode, subject_ids=None) -> tuple[np.ndarray, np.ndarray]:
+        """Forest rows in ``mode`` and region codes of the pupil-passing
+        frames of ``subject_ids`` (every subject by default), subject by
+        subject in the order given."""
+        ids = self.subjects if subject_ids is None else subject_ids
+        chosen = [self.subjects[sid] for sid in ids]
+        if not chosen:
+            raise InsufficientData("no subject has a frame with a face")
+        head = np.concatenate([s.head[s.pupil_ok] for s in chosen])
+        uv = np.concatenate([s.pupil_uv[s.pupil_ok] for s in chosen])
+        labels = np.concatenate([s.labels[s.pupil_ok] for s in chosen])
+        return mode_matrix(head, uv, mode), labels
+
 
 def prepare_dataset(
     entries: Iterable, grid: ParamGrid = DEFAULT_GRID
 ) -> PreparedDataset:
-    """Run pupil detection and feature extraction over a frame stream.
+    """Stage every frame of a stream once, keeping what the study needs.
 
     Accepts anything yielding objects with a ``record`` attribute
     (:class:`~gazekit.dataio.ParsedLine`, :class:`~gazekit.synth.GeneratedFrame`)
-    or bare FrameRecords / None. Frames with unusable landmark geometry are
-    treated as failing the pupil stage.
+    or bare FrameRecords / None, and consumes it lazily. Each frame goes
+    through :func:`~gazekit.pipeline.stage_frame` with the pupil search on,
+    so a frame counts as a face, and as passing the pupil stage, exactly
+    when ``gazekit classify`` in head-and-eye mode would say so.
     """
     acc: dict[str, dict[str, list]] = {}
-    extra_records: dict[str, int] = {}
     total = 0
     for entry in entries:
-        record = getattr(entry, "record", entry)
         total += 1
-        if record is None:
-            sid = getattr(entry, "subject_id", None)
-            if sid is not None:
-                extra_records[sid] = extra_records.get(sid, 0) + 1
+        record = getattr(entry, "record", entry)
+        staged = stage_frame(record, grid, search_pupil=True)
+        sid = getattr(entry, "subject_id", None) if record is None else record.subject_id
+        if sid is None:
             continue
-        slot = acc.setdefault(
-            record.subject_id, {"labels": [], "head": [], "uv": [], "ok": []}
-        )
-        pupil = detect_pupil(record.eye_crop, record.eye_polygon, grid)
-        try:
-            head = normalize_landmarks(record.landmarks)
-        except DegenerateBox:
-            continue  # unusable alignment; drops out before the pupil stage
-        ok = pupil.status is PupilStatus.DETECTED
-        if ok:
-            try:
-                uv = normalize_pupil(pupil.center, record.eye_polygon)
-            except DegenerateEye:
-                ok, uv = False, (math.nan, math.nan)
-        else:
-            uv = (math.nan, math.nan)
+        # A subject whose frames are all face failures still gets an entry.
+        slot = acc.setdefault(sid, {"labels": [], "head": [], "uv": [], "ok": []})
+        if staged.drop is DropReason.NO_FACE:
+            continue
+        ok = staged.drop is None
         slot["labels"].append(region_index(record.label))
-        slot["head"].append(head)
-        slot["uv"].append(uv)
+        slot["head"].append(staged.head)
+        slot["uv"].append(staged.pupil_uv if ok else (math.nan, math.nan))
         slot["ok"].append(ok)
 
-    subjects = {}
-    for sid, slot in acc.items():
-        subjects[sid] = PreparedSubject(
+    subjects = {
+        sid: PreparedSubject(
             subject_id=sid,
             labels=np.array(slot["labels"], dtype=np.int64),
-            head=np.array(slot["head"], dtype=np.float64),
-            pupil_uv=np.array(slot["uv"], dtype=np.float64),
+            head=np.array(slot["head"], dtype=np.float64).reshape(-1, HEAD_DIM),
+            pupil_uv=np.array(slot["uv"], dtype=np.float64).reshape(-1, EYE_DIM),
             pupil_ok=np.array(slot["ok"], dtype=bool),
-            n_records=len(slot["labels"]) + extra_records.get(sid, 0),
         )
-    # Face failures for subjects that never produced a valid frame still
-    # count toward the dataset total.
-    for sid, count in extra_records.items():
-        if sid not in subjects:
-            subjects[sid] = PreparedSubject(
-                subject_id=sid,
-                labels=np.zeros(0, dtype=np.int64),
-                head=np.zeros((0, 136)),
-                pupil_uv=np.zeros((0, 2)),
-                pupil_ok=np.zeros(0, dtype=bool),
-                n_records=count,
-            )
+        for sid, slot in acc.items()
+    }
     return PreparedDataset(subjects=subjects, total_records=total)
 
 
@@ -495,21 +398,6 @@ def check_sufficiency(ds: PreparedDataset, min_frames_per_region: int):
                 )
 
 
-def mode_matrix(subject: PreparedSubject, mode: FeatureMode, rows: np.ndarray) -> np.ndarray:
-    if mode is FeatureMode.HEAD_ONLY:
-        return subject.head[rows]
-    return np.hstack([subject.head[rows], subject.pupil_uv[rows]])
-
-
-def decide_batch(probs: np.ndarray, threshold: float):
-    predicted = probs.argmax(axis=1)
-    top_two = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
-    p2, p1 = top_two[:, 0], top_two[:, 1]
-    with np.errstate(divide="ignore"):
-        confidence = np.where(p2 == 0.0, np.inf, p1 / np.where(p2 == 0.0, 1.0, p2))
-    return predicted, confidence, confidence > threshold
-
-
 def evaluate_user(
     subject_id: str,
     ds: PreparedDataset,
@@ -524,19 +412,12 @@ def evaluate_user(
     if len(ds.subjects) < 2:
         raise InsufficientData("leave-one-out evaluation needs at least 2 subjects")
     check_sufficiency(ds, cfg.min_frames_per_region)
-    held = ds.subjects[subject_id]
     user_index = ds.subject_ids().index(subject_id)
-
-    pool_subjects = [s for sid, s in ds.subjects.items() if sid != subject_id]
-    pool_rows = [np.nonzero(s.pupil_ok)[0] for s in pool_subjects]
-    pool_labels = np.concatenate([s.labels[r] for s, r in zip(pool_subjects, pool_rows)])
-    pool_X = {
-        mode: np.vstack([mode_matrix(s, mode, r) for s, r in zip(pool_subjects, pool_rows)])
-        for mode in cfg.modes
-    }
-    held_rows = np.nonzero(held.pupil_ok)[0]
-    held_labels = held.labels[held_rows]
-    held_X = {mode: mode_matrix(held, mode, held_rows) for mode in cfg.modes}
+    others = [sid for sid in ds.subject_ids() if sid != subject_id]
+    pool = {mode: ds.pupil_pool(mode, others) for mode in cfg.modes}
+    held = {mode: ds.pupil_pool(mode, [subject_id]) for mode in cfg.modes}
+    pool_labels = pool[cfg.modes[0]][1]
+    held_labels = held[cfg.modes[0]][1]
 
     accuracies = {mode: np.full(cfg.repetitions, math.nan) for mode in cfg.modes}
     accepted = {mode: np.zeros(cfg.repetitions, dtype=np.int64) for mode in cfg.modes}
@@ -555,18 +436,18 @@ def evaluate_user(
         for mode_idx, mode in enumerate(cfg.modes):
             forest_cfg = reseeded(cfg.forest, cfg.seed, user_index, rep, mode_idx)
             model = train_arrays(
-                pool_X[mode][train_sel], pool_labels[train_sel], REGIONS, forest_cfg
+                pool[mode][0][train_sel], pool_labels[train_sel], REGIONS, forest_cfg
             )
-            probs = predict_proba_batch(model, held_X[mode][test_sel])
-            predicted, _, keep = decide_batch(probs, cfg.confidence_threshold)
+            probs = predict_proba_batch(model, held[mode][0][test_sel])
+            predicted, _, keep = decide(probs, cfg.confidence_threshold)
             evaluated[mode][rep] = truth.size
             accepted[mode][rep] = int(keep.sum())
             if keep.any():
                 accuracies[mode][rep] = float((predicted[keep] == truth[keep]).mean())
                 confusions[mode].add(truth[keep], predicted[keep])
             if rep == 0 and mode is primary and held_labels.size:
-                plain = predict_proba_batch(model, held_X[mode])
-                _, _, plain_keep = decide_batch(plain, cfg.confidence_threshold)
+                plain = predict_proba_batch(model, held[mode][0])
+                _, _, plain_keep = decide(plain, cfg.confidence_threshold)
                 unbalanced_accepted = int(plain_keep.sum())
 
     stats = {

@@ -47,7 +47,6 @@ class UsageError(GazekitError):
 _DATA_ERRORS = (
     DataFormatError,
     analysis.InsufficientData,
-    analysis.NoQualifyingFrames,
     analysis.MissingBackground,
     analysis.ModeMismatch,
     EmptyClass,
@@ -205,25 +204,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Lowest value of each numeric setting, and whether that value itself is
-# allowed. The forest, the study, the pruning rule and the rate report
-# refuse anything lower, and they would only do so after the pupil stage.
-_LOWER_BOUNDS = {
-    "trees": (1, True),
-    "depth": (1, True),
-    "min_leaf": (1, True),
-    "repetitions": (1, True),
-    "confidence_threshold": (1.0, True),
-    "fps": (0.0, False),
+# Range of each numeric setting: lowest value, whether that value itself is
+# allowed, and highest value (inclusive) if any. The population generator,
+# the forest, the study, the pruning rule and the rate report refuse
+# anything outside, and some would only do so after the pupil stage.
+_RANGES = {
+    "subjects": (1, True, None),
+    "frames_per_region": (120, True, None),
+    "p_face_fail": (0.0, True, 1.0),
+    "p_pupil_fail": (0.0, True, 1.0),
+    "landmark_jitter": (0.0, True, None),
+    "image_noise": (0.0, True, None),
+    "trees": (1, True, None),
+    "depth": (1, True, None),
+    "min_leaf": (1, True, None),
+    "repetitions": (1, True, None),
+    "confidence_threshold": (1.0, True, None),
+    "fps": (0.0, False, None),
 }
 
 
 def _check_range(key: str, value):
-    low, inclusive = _LOWER_BOUNDS[key]
-    if not (value >= low if inclusive else value > low):  # NaN fails too
-        relation = ">=" if inclusive else ">"
-        flag = "--" + key.replace("_", "-")
-        raise UsageError(f"{flag} must be {relation} {low}, got {value}")
+    low, inclusive, high = _RANGES[key]
+    above = value >= low if inclusive else value > low
+    if not (above and (high is None or value <= high)):  # NaN fails too
+        if high is None:
+            wanted = f"{'>=' if inclusive else '>'} {low}"
+        else:
+            wanted = f"in [{low}, {high}]"
+        raise UsageError(f"--{key.replace('_', '-')} must be {wanted}, got {value}")
 
 
 def _check_config_type(key: str, value, default):
@@ -268,7 +277,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             resolved[key] = from_file[key]
         else:
             resolved[key] = default
-        if key in _LOWER_BOUNDS:
+        if key in _RANGES:
             _check_range(key, resolved[key])
     resolved["command"] = args.command
     return resolved
@@ -297,8 +306,6 @@ def cmd_synth(resolved: dict) -> int:
     alphas = resolved["alphas"]
     if isinstance(alphas, str):
         alphas = _parse_alphas(alphas)
-    if resolved["frames_per_region"] < 120:
-        raise UsageError("--frames-per-region must be >= 120")
     manifest = synth.generate_population(
         resolved["out"],
         n_subjects=resolved["subjects"],
@@ -327,13 +334,7 @@ def cmd_train(resolved: dict) -> int:
     mode = FeatureMode(resolved["mode"])
     prepared = _prepare(resolved)
     analysis.check_sufficiency(prepared, resolved["min_frames"])
-    rows = [np.nonzero(s.pupil_ok)[0] for s in prepared.subjects.values()]
-    labels = np.concatenate(
-        [s.labels[r] for s, r in zip(prepared.subjects.values(), rows)]
-    )
-    X = np.vstack(
-        [analysis.mode_matrix(s, mode, r) for s, r in zip(prepared.subjects.values(), rows)]
-    )
+    X, labels = prepared.pupil_pool(mode)
     rng = np.random.default_rng(resolved["seed"] & ((1 << 64) - 1))
     balanced = subsample_indices(labels, len(REGIONS), rng)
     cfg = ForestConfig(

@@ -7,7 +7,6 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +28,7 @@ __all__ = [
     "GrayImage",
     "FrameRecord",
     "Decision",
+    "decide",
     "readonly_array",
 ]
 
@@ -213,22 +213,21 @@ class Decision:
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
 
-    @classmethod
-    def from_probabilities(cls, probabilities, threshold: float) -> "Decision":
-        """Build a decision from class probabilities and a pruning threshold.
 
-        Argmax ties break toward the lowest region index. The confidence of a
-        two-way tie at the top is exactly 1, which a threshold of 1 rejects
-        (acceptance uses strict inequality).
-        """
-        probs = np.asarray(probabilities, dtype=np.float64)
-        region = index_to_region(int(np.argmax(probs)))
-        ordered = np.sort(probs)[::-1]
-        p1, p2 = float(ordered[0]), float(ordered[1])
-        confidence = math.inf if p2 == 0.0 else p1 / p2
-        return cls(
-            region=region,
-            probabilities=probs,
-            confidence=confidence,
-            accepted=confidence > threshold,
-        )
+def decide(probabilities, threshold: float):
+    """The pruning rule, over rows of class probabilities.
+
+    Returns each row's predicted class index, its confidence and whether it
+    is accepted. Argmax ties break toward the lowest index. The confidence
+    is the highest probability over the second highest (+inf when the
+    second highest is zero), and a row is accepted iff its confidence
+    strictly exceeds ``threshold``, so a two-way tie at the top (confidence
+    exactly 1) never clears a threshold of 1.
+    """
+    probs = np.asarray(probabilities, dtype=np.float64)
+    predicted = probs.argmax(axis=1)
+    top_two = np.partition(probs, probs.shape[1] - 2, axis=1)[:, -2:]
+    p2, p1 = top_two[:, 0], top_two[:, 1]
+    with np.errstate(divide="ignore"):
+        confidence = np.where(p2 == 0.0, np.inf, p1 / np.where(p2 == 0.0, 1.0, p2))
+    return predicted, confidence, confidence > threshold

@@ -32,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import REGIONS, GazekitError, GazeRegion, region_index
-from .features import FeatureVector
+from .core import GazekitError
 
 __all__ = [
     "EmptyTrainingSet",
@@ -44,12 +43,9 @@ __all__ = [
     "ForestNodes",
     "TrainingDigest",
     "ForestModel",
-    "train",
     "train_arrays",
     "predict_proba",
     "predict_proba_batch",
-    "subsample_balance",
-    "supersample_balance",
     "subsample_indices",
     "supersample_indices",
     "thread_count",
@@ -410,20 +406,6 @@ def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:
     )
 
 
-def train(
-    samples: Sequence[tuple[FeatureVector, GazeRegion]], cfg: ForestConfig
-) -> ForestModel:
-    """Train a six-region model from (feature vector, region) pairs."""
-    if len(samples) == 0:
-        raise EmptyTrainingSet("training set is empty")
-    dims = {fv.dim for fv, _ in samples}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed feature dimensions in training set: {sorted(dims)}")
-    X = np.stack([fv.as_array() for fv, _ in samples])
-    y = np.array([region_index(label) for _, label in samples], dtype=np.int64)
-    return train_arrays(X, y, REGIONS, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
@@ -524,24 +506,6 @@ def supersample_indices(labels, n_classes: int, rng: np.random.Generator) -> np.
             extra = rng.choice(group, size=target - group.size, replace=True)
             parts.append(np.concatenate([group, extra]))
     return np.concatenate(parts)
-
-
-def _pairs_to_labels(samples) -> np.ndarray:
-    return np.array([region_index(label) for _, label in samples], dtype=np.int64)
-
-
-def subsample_balance(samples: Sequence, seed: int) -> list:
-    """Balance (sample, region) pairs down to the minority-class count."""
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    chosen = subsample_indices(_pairs_to_labels(samples), len(REGIONS), rng)
-    return [samples[i] for i in chosen]
-
-
-def supersample_balance(samples: Sequence, seed: int) -> list:
-    """Balance (sample, region) pairs up to the majority-class count."""
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    chosen = supersample_indices(_pairs_to_labels(samples), len(REGIONS), rng)
-    return [samples[i] for i in chosen]
 
 
 def derive_seed(*parts: int) -> int:

@@ -1,14 +1,17 @@
 """End-to-end frame classification with confidence pruning and attrition
 accounting.
 
-A frame either produces a :class:`~gazekit.core.Decision` or drops out with a
-typed reason: no parseable face record, a failed pupil stage (closed eye or
-no blob, head-and-eye mode only), or a decision whose confidence ratio did
-not clear the pruning threshold. The ledger counts survivors of each stage.
+Every frame goes through :func:`stage_frame`, for ``gazekit classify`` and
+for the study's prepared dataset alike. A frame with no parseable face
+record or a degenerate eyes-and-nose box is ``no_face``; a face whose pupil
+search fails, or whose eye polygon cannot frame the pupil, is
+``pupil_failed`` (in head-only classification no pupil search runs). A usable
+frame becomes a :class:`~gazekit.core.Decision`, dropped as low-confidence
+when it does not clear the pruning threshold. The ledger counts survivors
+of each stage.
 
-``classify_frame`` takes one frame; ``classify_batch`` takes a micro-batch
-and predicts all of its frames in one call. Both run the same pupil, feature
-and decision stages, so they give the same outcome for the same frame.
+``classify_batch`` predicts all frames of a micro-batch in one call;
+``classify_frame`` is ``classify_batch`` of one frame.
 """
 
 from __future__ import annotations
@@ -19,11 +22,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import REGIONS, DataFormatError, Decision, FrameRecord, GazekitError
-from .features import DegenerateBox, FeatureMode, MissingPupil, build_feature, feature_dim
-from .forest import (
+from .core import REGIONS, DataFormatError, Decision, FrameRecord, GazekitError, decide
+from .features import (  # build_feature stays bound here for perfbench's tracer
+    DegenerateBox,
+    DegenerateEye,
+    FeatureMode,
+    build_feature,
+    feature_dim,
+    normalize_landmarks,
+    normalize_pupil,
+)
+from .forest import (  # predict_proba stays bound here for perfbench's tracer
     DimensionMismatch,
-    ForestConfig,
     ForestModel,
     predict_proba,
     predict_proba_batch,
@@ -33,6 +43,9 @@ from .pupil import DEFAULT_GRID, ParamGrid, PupilResult, PupilStatus, detect_pup
 __all__ = [
     "PipelineConfig",
     "DropReason",
+    "StagedFrame",
+    "stage_frame",
+    "mode_matrix",
     "FrameOutcome",
     "AttritionLedger",
     "classify_frame",
@@ -46,7 +59,6 @@ class PipelineConfig:
     mode: FeatureMode = FeatureMode.HEAD_AND_EYE
     confidence_threshold: float = 10.0
     grid: ParamGrid = DEFAULT_GRID
-    forest: ForestConfig = ForestConfig()
 
     def __post_init__(self):
         if not self.confidence_threshold >= 1.0:
@@ -57,6 +69,60 @@ class DropReason(Enum):
     NO_FACE = "no_face"
     PUPIL_FAILED = "pupil_failed"
     LOW_CONFIDENCE = "low_confidence"
+
+
+@dataclass(frozen=True)
+class StagedFrame:
+    """What the frame stages made of one frame.
+
+    ``drop`` is NO_FACE, PUPIL_FAILED or None (usable). ``head`` is the
+    136-value head block of every face, ``pupil`` the search result when a
+    search ran, and ``pupil_uv`` the normalized pupil of a usable frame whose
+    pupil was searched.
+    """
+
+    drop: DropReason | None
+    head: np.ndarray | None = None
+    pupil: PupilResult | None = None
+    pupil_uv: np.ndarray | None = None
+
+
+def stage_frame(
+    record: FrameRecord | None, grid: ParamGrid, search_pupil: bool
+) -> StagedFrame:
+    """Decide what happens to one frame, and compute its features.
+
+    ``record`` of None stands for a frame whose landmark record was absent or
+    unparseable (a face-detection failure). The eyes-and-nose box is checked
+    first: a degenerate box means the upstream alignment failed, so the frame
+    is ``no_face`` and no pupil search runs. With ``search_pupil``, a pupil
+    that is not detected, or an eye polygon that cannot frame it (coincident
+    corners, no extent), makes the frame ``pupil_failed``.
+    """
+    if record is None:
+        return StagedFrame(DropReason.NO_FACE)
+    try:
+        head = normalize_landmarks(record.landmarks)
+    except DegenerateBox:
+        return StagedFrame(DropReason.NO_FACE)
+    if not search_pupil:
+        return StagedFrame(None, head)
+    pupil = detect_pupil(record.eye_crop, record.eye_polygon, grid)
+    if pupil.status is not PupilStatus.DETECTED:
+        return StagedFrame(DropReason.PUPIL_FAILED, head, pupil)
+    try:
+        uv = normalize_pupil(pupil.center, record.eye_polygon)
+    except DegenerateEye:
+        return StagedFrame(DropReason.PUPIL_FAILED, head, pupil)
+    return StagedFrame(None, head, pupil, uv)
+
+
+def mode_matrix(head: np.ndarray, pupil_uv: np.ndarray | None, mode: FeatureMode) -> np.ndarray:
+    """Forest rows of ``mode`` from stacked head blocks and pupil uvs: the
+    head block, followed in head-and-eye mode by the pupil uv."""
+    if mode is FeatureMode.HEAD_ONLY:
+        return head
+    return np.hstack([head, pupil_uv])
 
 
 @dataclass(frozen=True)
@@ -102,66 +168,41 @@ def _check_model(model: ForestModel, cfg: PipelineConfig) -> np.ndarray:
     return np.array([order.index(region) for region in REGIONS])
 
 
-def _stage(record: FrameRecord | None, cfg: PipelineConfig, pupil: PupilResult | None):
-    """Pupil and feature stages of one frame: a drop outcome, or the
-    feature row and the pupil result it was built from."""
-    if record is None:
-        return FrameOutcome(decision=None, drop=DropReason.NO_FACE)
-    if cfg.mode is FeatureMode.HEAD_AND_EYE:
-        if pupil is None:
-            pupil = detect_pupil(record.eye_crop, record.eye_polygon, cfg.grid)
-        if pupil.status is not PupilStatus.DETECTED:
-            return FrameOutcome(decision=None, drop=DropReason.PUPIL_FAILED, pupil=pupil)
-    try:
-        features = build_feature(record, pupil, cfg.mode)
-    except (DegenerateBox, MissingPupil):
-        # Unusable geometry means the upstream alignment failed.
-        return FrameOutcome(decision=None, drop=DropReason.NO_FACE, pupil=pupil)
-    return features.as_array(), pupil
-
-
-def _decide(probs, cfg: PipelineConfig, pupil: PupilResult | None) -> FrameOutcome:
-    decision = Decision.from_probabilities(probs, cfg.confidence_threshold)
-    drop = None if decision.accepted else DropReason.LOW_CONFIDENCE
-    return FrameOutcome(decision=decision, drop=drop, pupil=pupil)
-
-
-def classify_frame(
-    record: FrameRecord | None,
-    model: ForestModel,
-    cfg: PipelineConfig,
-    pupil: PupilResult | None = None,
-) -> FrameOutcome:
-    """Classify one frame, or drop it with a typed reason.
-
-    ``record`` of None stands for a frame whose landmark record was absent or
-    unparseable (a face-detection failure). A precomputed ``pupil`` may be
-    passed to skip re-detection; in head-only mode the pupil stage is a
-    pass-through. Raises DimensionMismatch when the model does not fit the
-    configured mode, and DataFormatError when its classes are not the six
-    regions; the decision reads the model's columns in its class order.
-    """
-    columns = _check_model(model, cfg)
-    staged = _stage(record, cfg, pupil)
-    if isinstance(staged, FrameOutcome):
-        return staged
-    row, pupil = staged
-    return _decide(predict_proba(model, row)[columns], cfg, pupil)
-
-
 def classify_batch(
     records: Sequence[FrameRecord | None], model: ForestModel, cfg: PipelineConfig
 ) -> list[FrameOutcome]:
-    """``classify_frame`` over a micro-batch, with one batched prediction."""
+    """Classify each frame of a micro-batch, or drop it with a typed reason;
+    the usable frames are predicted in one batched call.
+
+    Raises DimensionMismatch when the model does not fit the configured
+    mode, and DataFormatError when its classes are not the six regions; the
+    decisions read the model's columns in its class order.
+    """
     columns = _check_model(model, cfg)
-    staged = [_stage(record, cfg, None) for record in records]
-    ready = [i for i, item in enumerate(staged) if not isinstance(item, FrameOutcome)]
-    outcomes = list(staged)
+    search = cfg.mode is FeatureMode.HEAD_AND_EYE
+    staged = [stage_frame(record, cfg.grid, search) for record in records]
+    ready = [i for i, s in enumerate(staged) if s.drop is None]
+    outcomes = [None if s.drop is None else FrameOutcome(None, s.drop, s.pupil) for s in staged]
     if ready:
-        probs = predict_proba_batch(model, np.stack([staged[i][0] for i in ready]))[:, columns]
-        for i, row_probs in zip(ready, probs):
-            outcomes[i] = _decide(row_probs, cfg, staged[i][1])
+        X = mode_matrix(
+            np.array([staged[i].head for i in ready]),
+            np.array([staged[i].pupil_uv for i in ready]) if search else None,
+            cfg.mode,
+        )
+        probs = predict_proba_batch(model, X)[:, columns]
+        predicted, confidence, accepted = decide(probs, cfg.confidence_threshold)
+        for i, row, code, ratio, keep in zip(ready, probs, predicted, confidence, accepted):
+            decision = Decision(REGIONS[code], row, float(ratio), bool(keep))
+            drop = None if keep else DropReason.LOW_CONFIDENCE
+            outcomes[i] = FrameOutcome(decision, drop, staged[i].pupil)
     return outcomes
+
+
+def classify_frame(
+    record: FrameRecord | None, model: ForestModel, cfg: PipelineConfig
+) -> FrameOutcome:
+    """``classify_batch`` of one frame."""
+    return classify_batch([record], model, cfg)[0]
 
 
 @dataclass

@@ -16,7 +16,7 @@ from scipy.stats import spearmanr
 
 from gazekit import analysis, synth
 from gazekit.cli import main as cli_main
-from gazekit.core import REGIONS, GazeRegion
+from gazekit.core import NOSE_TIP_INDEX, REGIONS, GazeRegion, decide
 from gazekit.features import FeatureMode, normalize_landmarks, normalize_pupil, nose_tip_normalized
 from gazekit.forest import ForestConfig, predict_proba_batch, train_arrays
 from gazekit.pipeline import PipelineConfig, classify_frame
@@ -172,10 +172,33 @@ def test_criterion_03_pupil_detection_accuracy():
     )
 
 
+def _owlness_per_frame(heads, pupils_uv, backgrounds):
+    """Owlness of each frame against its own background, through the
+    prepared-array path (one subject per frame)."""
+    ids = [f"f{i}" for i in range(len(heads))]
+    subjects = {
+        sid: analysis.PreparedSubject(
+            sid, np.zeros(1, dtype=np.int64), head[None], np.array([uv]), np.ones(1, bool)
+        )
+        for sid, head, uv in zip(ids, heads, pupils_uv)
+    }
+    ds = analysis.PreparedDataset(subjects, total_records=len(ids))
+    reports = analysis.owlness_from_prepared(
+        ds, analysis.BackgroundModel(dict(zip(ids, backgrounds)))
+    )
+    return [reports[sid].owlness for sid in ids]
+
+
+def _head_with_nose(nose):
+    head = np.zeros(136)
+    head[2 * NOSE_TIP_INDEX : 2 * NOSE_TIP_INDEX + 2] = nose
+    return head
+
+
 def test_criterion_04_owlness_ranges_and_boundaries():
     rng = np.random.default_rng(404)
     root2 = math.sqrt(2.0)
-    worst_m = (1.0, 0.0)
+    heads, pupils, backgrounds = [], [], []
     for _ in range(10_000):
         landmarks_pts = FACE_TEMPLATE + rng.uniform(-20, 20, size=(68, 2))
         head = normalize_landmarks(_as_landmarks(landmarks_pts))
@@ -207,12 +230,18 @@ def test_criterion_04_owlness_ranges_and_boundaries():
         d_pupil = math.hypot(*(pupil - background.mean_pupil))
         assert 0.0 <= d_head <= root2 + 1e-12
         assert 0.0 <= d_pupil <= root2 + 1e-12
-        m, dh, dp = analysis._owlness_from_points(nose, pupil, background)
-        assert 0.0 <= m <= 1.0
-        worst_m = (min(worst_m[0], m), max(worst_m[1], m))
+        heads.append(head)
+        pupils.append(pupil)
+        backgrounds.append(background)
+    owlness = _owlness_per_frame(heads, pupils, backgrounds)
+    assert all(0.0 <= m <= 1.0 for m in owlness)
+    worst_m = (min(owlness), max(owlness))
     bg = analysis.SubjectBackground((0.25, 0.5), (0.75, 0.25), 1)
-    pure_lizard = analysis._owlness_from_points((0.25, 0.5), (0.1, 0.9), bg)[0]
-    pure_owl = analysis._owlness_from_points((0.9, 0.1), (0.75, 0.25), bg)[0]
+    pure_lizard, pure_owl = _owlness_per_frame(
+        [_head_with_nose((0.25, 0.5)), _head_with_nose((0.9, 0.1))],
+        [(0.1, 0.9), (0.75, 0.25)],
+        [bg, bg],
+    )
     report(
         4,
         "owlness in [0,1], distances in [0,sqrt(2)], exact boundaries",
@@ -270,27 +299,13 @@ def test_criterion_07_pruning_monotonicity(population):
     subject_ids = ds.subject_ids()
     train_ids = subject_ids[::2]
     test_ids = [sid for sid in subject_ids if sid not in train_ids]
-    rows = [np.nonzero(ds.subjects[sid].pupil_ok)[0] for sid in train_ids]
-    labels = np.concatenate([ds.subjects[sid].labels[r] for sid, r in zip(train_ids, rows)])
-    X = np.vstack(
-        [
-            analysis.mode_matrix(ds.subjects[sid], FeatureMode.HEAD_AND_EYE, r)
-            for sid, r in zip(train_ids, rows)
-        ]
-    )
+    X, labels = ds.pupil_pool(FeatureMode.HEAD_AND_EYE, train_ids)
     model = train_arrays(
         X, labels, REGIONS, ForestConfig(n_trees=30, max_depth=10, min_samples_leaf=8, rng_seed=3)
     )
-    test_rows = [np.nonzero(ds.subjects[sid].pupil_ok)[0] for sid in test_ids]
-    truth = np.concatenate([ds.subjects[sid].labels[r] for sid, r in zip(test_ids, test_rows)])
-    queries = np.vstack(
-        [
-            analysis.mode_matrix(ds.subjects[sid], FeatureMode.HEAD_AND_EYE, r)
-            for sid, r in zip(test_ids, test_rows)
-        ]
-    )
+    queries, truth = ds.pupil_pool(FeatureMode.HEAD_AND_EYE, test_ids)
     probs = predict_proba_batch(model, queries)
-    predicted, confidence, _ = analysis.decide_batch(probs, 1.0)
+    predicted, confidence, _ = decide(probs, 1.0)
 
     accepted_counts = []
     accuracies = []
@@ -343,14 +358,7 @@ def test_criterion_09_throughput_with_full_size_forest():
         synth.population_frames(2, 120, seed=909, alphas=[0.3, 0.7])
     )
     ds = analysis.prepare_dataset(train_frames)
-    rows = [np.nonzero(s.pupil_ok)[0] for s in ds.subjects.values()]
-    labels = np.concatenate([s.labels[r] for s, r in zip(ds.subjects.values(), rows)])
-    X = np.vstack(
-        [
-            analysis.mode_matrix(s, FeatureMode.HEAD_AND_EYE, r)
-            for s, r in zip(ds.subjects.values(), rows)
-        ]
-    )
+    X, labels = ds.pupil_pool(FeatureMode.HEAD_AND_EYE)
     model = train_arrays(
         X, labels, REGIONS, ForestConfig(n_trees=2000, max_depth=25, rng_seed=11)
     )

@@ -10,31 +10,24 @@ from gazekit.analysis import (
     InsufficientData,
     MissingBackground,
     ModeMismatch,
-    NoQualifyingFrames,
     OwlnessReport,
+    PreparedDataset,
+    PreparedSubject,
     Strategy,
     SubjectBackground,
     accuracy_delta_report,
     background_from_prepared,
-    build_background,
     classify_strategy,
     evaluate_user,
-    owlness_frame,
     owlness_from_prepared,
-    owlness_subject,
     pearson,
     prepare_dataset,
     run_study,
 )
-from gazekit.core import GazeRegion
-from gazekit.features import FeatureMode
+from gazekit.core import NOSE_TIP_INDEX, GazeRegion
+from gazekit.features import FeatureMode, normalize_landmarks, normalize_pupil
 from gazekit.forest import ForestConfig
-from gazekit.pupil import detect_pupil
 from gazekit.synth import SubjectProfile, generate_frame, iter_subject_frames
-
-
-def _background(nose=(0.5, 0.5), pupil=(0.5, 0.5)):
-    return BackgroundModel({"s": SubjectBackground(nose, pupil, frame_count=10)})
 
 
 def _frame_with(nose_offset, pupil_offset, alpha=0.5, seed=0):
@@ -42,46 +35,51 @@ def _frame_with(nose_offset, pupil_offset, alpha=0.5, seed=0):
     return generate_frame(profile, GazeRegion.LEFT, 0, np.random.default_rng(seed))
 
 
-def test_owlness_boundary_cases():
-    from gazekit.analysis import _owlness_from_points
+def _subject(sid, heads, pupils_uv):
+    """Prepared arrays of pupil-passing frames with these head blocks and
+    normalized pupils."""
+    n = len(heads)
+    return PreparedSubject(
+        sid, np.zeros(n, dtype=np.int64), np.array(heads), np.array(pupils_uv), np.ones(n, bool)
+    )
 
+
+def _owlness_of(nose, pupil_uv, background):
+    """Owlness, head and pupil distance of one frame through the prepared path."""
+    head = np.zeros(136)
+    head[2 * NOSE_TIP_INDEX : 2 * NOSE_TIP_INDEX + 2] = nose
+    ds = PreparedDataset({"s": _subject("s", [head], [pupil_uv])}, total_records=1)
+    report = owlness_from_prepared(ds, BackgroundModel({"s": background}))["s"]
+    return report.owlness, report.mean_head_dist, report.mean_pupil_dist
+
+
+def test_owlness_boundary_cases():
     bg = SubjectBackground((0.5, 0.5), (0.5, 0.5), 1)
-    assert _owlness_from_points((0.5, 0.5), (0.7, 0.5), bg)[0] == 0.0  # pure lizard
-    assert _owlness_from_points((0.9, 0.5), (0.5, 0.5), bg)[0] == 1.0  # pure owl
-    m, dh, dp = _owlness_from_points((0.6, 0.5), (0.4, 0.5), bg)
+    assert _owlness_of((0.5, 0.5), (0.7, 0.5), bg)[0] == 0.0  # pure lizard
+    assert _owlness_of((0.9, 0.5), (0.5, 0.5), bg)[0] == 1.0  # pure owl
+    m, dh, dp = _owlness_of((0.6, 0.5), (0.4, 0.5), bg)
     assert m == pytest.approx(0.5) and dh == pytest.approx(dp)
-    assert _owlness_from_points((0.5, 0.5), (0.5, 0.5), bg)[0] == 0.5  # motionless
+    assert _owlness_of((0.5, 0.5), (0.5, 0.5), bg)[0] == 0.5  # motionless
 
 
 def test_owlness_frame_end_to_end():
-    frame = _frame_with(0, 0, alpha=1.0)
-    record = frame.record
-    pupil = detect_pupil(record.eye_crop, record.eye_polygon)
-    bg = build_background([record], [pupil])
-    assert owlness_frame(record, pupil, bg) == 0.5  # frame vs its own mean: no motion
+    ds = prepare_dataset([_frame_with(0, 0, alpha=1.0)])
+    assert ds.pupils == 1
+    bg = background_from_prepared(ds)
+    assert owlness_from_prepared(ds, bg)["s"].owlness == 0.5  # frame vs its own mean
     with pytest.raises(MissingBackground):
-        owlness_frame(record, pupil, BackgroundModel({}))
+        owlness_from_prepared(ds, BackgroundModel({}))
 
 
 def test_owlness_subject_mean_and_strategy():
     profile = SubjectProfile("s", head_gain=0.0, landmark_jitter=0.0, image_noise=0.0)
     rng = np.random.default_rng(1)
-    frames = [f.record for f in iter_subject_frames(profile, 4, rng)]
-    pupils = [detect_pupil(r.eye_crop, r.eye_polygon) for r in frames]
-    bg = build_background(frames, pupils)
-    report = owlness_subject(frames, pupils, bg)
+    frames = list(iter_subject_frames(profile, 4, rng))
+    ds = prepare_dataset(frames)
+    report = owlness_from_prepared(ds, background_from_prepared(ds))["s"]
     assert report.strategy is Strategy.LIZARD
     assert report.owlness < 0.1  # pure eye motion
     assert report.frame_count == len(frames)
-
-
-def test_owlness_subject_requires_qualifying_frames():
-    frame = _frame_with(0, 0)
-    record = frame.record
-    from gazekit.pupil import PupilResult, PupilStatus
-
-    with pytest.raises(NoQualifyingFrames):
-        owlness_subject([record], [PupilResult(PupilStatus.EYE_CLOSED)], _background())
 
 
 def test_classify_strategy_thresholds():
@@ -128,13 +126,20 @@ def _crafted_frame(target_m, scale=0.2):
 
 def test_owlness_subject_is_mean_of_per_frame_values():
     targets = [0.2, 0.4, 0.6]
-    frames, pupils = zip(*(_crafted_frame(m) for m in targets))
-    bg = BackgroundModel(
-        {"crafted": SubjectBackground((0.5, 0.5), (0.5, 0.5), frame_count=3)}
+    frames = [_crafted_frame(m) for m in targets]
+    heads = [normalize_landmarks(record.landmarks) for record, _ in frames]
+    uvs = [normalize_pupil(pupil.center, record.eye_polygon) for record, pupil in frames]
+    background = SubjectBackground((0.5, 0.5), (0.5, 0.5), frame_count=3)
+    one_per_frame = PreparedDataset(
+        {f"f{i}": _subject(f"f{i}", [heads[i]], [uvs[i]]) for i in range(3)}, total_records=3
     )
-    for record, pupil, target in zip(frames, pupils, targets):
-        assert owlness_frame(record, pupil, bg) == pytest.approx(target, abs=1e-12)
-    report = owlness_subject(frames, pupils, bg)
+    per_frame = owlness_from_prepared(
+        one_per_frame, BackgroundModel({sid: background for sid in one_per_frame.subjects})
+    )
+    for i, target in enumerate(targets):
+        assert per_frame[f"f{i}"].owlness == pytest.approx(target, abs=1e-12)
+    ds = PreparedDataset({"crafted": _subject("crafted", heads, uvs)}, total_records=3)
+    report = owlness_from_prepared(ds, BackgroundModel({"crafted": background}))["crafted"]
     assert report.owlness == pytest.approx(0.4, abs=1e-12)
     assert report.strategy is Strategy.LIZARD  # 0.4 < 0.45
 
@@ -272,24 +277,16 @@ def test_prepared_dataset_counts_face_failures():
 def test_label_recoverability_across_identical_strategy_subjects():
     # noise-free twins: a model trained on one subject must transfer perfectly
     from gazekit.forest import ForestConfig as FC, predict_proba_batch, train_arrays
-    from gazekit.analysis import mode_matrix
     from gazekit.core import REGIONS
 
     frames = _population(frames_per_region=6, alphas=(0.6, 0.6), seed=4)
     ds = prepare_dataset(frames)
-    train_subject, test_subject = (ds.subjects[s] for s in ds.subject_ids())
-    rows = np.nonzero(train_subject.pupil_ok)[0]
-    model = train_arrays(
-        mode_matrix(train_subject, FeatureMode.HEAD_AND_EYE, rows),
-        train_subject.labels[rows],
-        REGIONS,
-        FC(n_trees=10, max_depth=6, rng_seed=1),
-    )
-    test_rows = np.nonzero(test_subject.pupil_ok)[0]
-    probs = predict_proba_batch(
-        model, mode_matrix(test_subject, FeatureMode.HEAD_AND_EYE, test_rows)
-    )
-    assert np.array_equal(probs.argmax(axis=1), test_subject.labels[test_rows])
+    train_id, test_id = ds.subject_ids()
+    X, y = ds.pupil_pool(FeatureMode.HEAD_AND_EYE, [train_id])
+    model = train_arrays(X, y, REGIONS, FC(n_trees=10, max_depth=6, rng_seed=1))
+    queries, truth = ds.pupil_pool(FeatureMode.HEAD_AND_EYE, [test_id])
+    probs = predict_proba_batch(model, queries)
+    assert np.array_equal(probs.argmax(axis=1), truth)
 
 
 def test_background_means_follow_pupil_passing_frames():

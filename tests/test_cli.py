@@ -106,6 +106,12 @@ def test_train_insufficient_data(dataset, tmp_path, capsys):
     assert "s00" in err and "road" in err
 
 
+def test_train_without_any_face_is_a_data_error(tmp_path, capsys):
+    (tmp_path / "frames.jsonl").write_text("{ broken\n")
+    assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m.gzkf")]) == 3
+    assert "no subject" in capsys.readouterr().err
+
+
 def test_classify_stream(dataset, tmp_path, capsys):
     code, model_path, _ = _train(dataset, tmp_path, "head-eye", capsys)
     assert code == 0
@@ -162,6 +168,25 @@ def test_classify_handles_corrupt_lines_and_infinite_threshold(dataset, tmp_path
     assert out_lines[4]["status"] == "no_face"
     assert summary["confident_decisions"] == 0  # nothing exceeds +inf
     assert all(l["status"] != "accepted" for l in out_lines)
+
+
+def test_classify_writes_pupil_failed_for_coincident_eye_corners(dataset, tmp_path, capsys):
+    code, model_path, _ = _train(dataset, tmp_path, "head-eye", capsys)
+    assert code == 0
+    obj = json.loads((dataset / "frames.jsonl").read_text().splitlines()[0])
+    polygon = np.array(obj["eye_polygon"]).reshape(6, 2)
+    polygon[0] = polygon[3] = polygon.mean(axis=0)
+    obj["eye_polygon"] = polygon.ravel().tolist()
+    hostile = tmp_path / "hostile"
+    hostile.mkdir()
+    (hostile / "frames.jsonl").write_text(json.dumps(obj) + "\n")
+    (hostile / "crops").symlink_to(dataset / "crops")
+    decisions = tmp_path / "d.jsonl"
+    argv = ["classify", "--model", str(model_path), "--data", str(hostile)]
+    assert main([*argv, "--out", str(decisions)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert json.loads(decisions.read_text())["status"] == "pupil_failed"
+    assert (summary["faces_detected"], summary["pupils_detected"]) == (1, 0)
 
 
 @pytest.mark.parametrize("mode", ["head-only", "head-eye"])
@@ -380,6 +405,35 @@ def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, command,
         argv += ["--config", str(config)]
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("subjects", 0),
+        ("frames_per_region", 119),
+        ("p_face_fail", 1.5),
+        ("p_face_fail", -0.1),
+        ("p_pupil_fail", -0.1),
+        ("p_pupil_fail", 1.5),
+        ("landmark_jitter", -1.0),
+        ("image_noise", -1.0),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_synth_settings_out_of_range_exit_2_before_any_work(tmp_path, capsys, key, value, source):
+    out = tmp_path / "population"
+    argv = ["synth", "--out", str(out)]
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv += [flag, str(value)]
+    else:
+        config = tmp_path / "range.json"
+        config.write_text(json.dumps({key: value}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -12,6 +12,7 @@ from gazekit.core import (
     Landmarks,
     N_REGIONS,
     REGIONS,
+    decide,
     index_to_region,
     region_from_name,
     region_index,
@@ -81,24 +82,46 @@ def test_frame_record_polygon_bounds():
         _frame(np.zeros((5, 2)))
 
 
-def test_decision_from_probabilities_basic():
-    decision = Decision.from_probabilities([0.55, 0.05, 0.1, 0.1, 0.1, 0.1], threshold=10.0)
-    assert decision.region is GazeRegion.ROAD
-    assert decision.confidence == pytest.approx(5.5)
-    assert not decision.accepted
+def _decide_one(probabilities, threshold):
+    predicted, confidence, accepted = decide(np.array([probabilities]), threshold)
+    return index_to_region(int(predicted[0])), float(confidence[0]), bool(accepted[0])
+
+
+def test_decision_rule_basic():
+    region, confidence, accepted = _decide_one([0.55, 0.05, 0.1, 0.1, 0.1, 0.1], 10.0)
+    assert region is GazeRegion.ROAD
+    assert confidence == pytest.approx(5.5)
+    assert not accepted
 
 
 def test_decision_tie_breaks_to_lowest_region_index():
-    decision = Decision.from_probabilities([0.3, 0.3, 0.1, 0.1, 0.1, 0.1], threshold=10.0)
-    assert decision.region is GazeRegion.ROAD
-    assert decision.confidence == 1.0
-    assert not decision.accepted  # strict inequality: a tie never clears 1
+    region, confidence, accepted = _decide_one([0.3, 0.3, 0.1, 0.1, 0.1, 0.1], 10.0)
+    assert region is GazeRegion.ROAD
+    assert confidence == 1.0
+    assert not accepted  # strict inequality: a tie never clears 1
+    assert not _decide_one([0.1, 0.1, 0.1, 0.1, 0.3, 0.3], 1.0)[2]
 
 
 def test_decision_infinite_confidence():
-    decision = Decision.from_probabilities([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], threshold=10.0)
-    assert math.isinf(decision.confidence)
-    assert decision.accepted
+    region, confidence, accepted = _decide_one([1.0, 0.0, 0.0, 0.0, 0.0, 0.0], 10.0)
+    assert math.isinf(confidence)
+    assert accepted
+
+
+def test_decision_rule_is_row_wise():
+    rows = np.array(
+        [
+            [0.55, 0.05, 0.1, 0.1, 0.1, 0.1],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+            [0.1, 0.1, 0.4, 0.2, 0.1, 0.1],
+        ]
+    )
+    predicted, confidence, accepted = decide(rows, 1.5)
+    assert predicted.tolist() == [0, 4, 2]
+    assert confidence[0] == pytest.approx(5.5) and math.isinf(confidence[1])
+    assert confidence[2] == pytest.approx(2.0)
+    assert accepted.tolist() == [True, True, True]
+    assert decide(rows, 2.0)[2].tolist() == [True, True, False]
 
 
 def test_decision_rejects_bad_distributions():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gazekit import forest
 from gazekit.core import REGIONS
 from gazekit.dataio import model_bytes
-from gazekit.features import FeatureMode, FeatureVector
 from gazekit.forest import (
     DimensionMismatch,
     EmptyClass,
@@ -20,11 +19,8 @@ from gazekit.forest import (
     TrainingDigest,
     predict_proba,
     predict_proba_batch,
-    subsample_balance,
     subsample_indices,
-    supersample_balance,
     supersample_indices,
-    train,
     train_arrays,
 )
 
@@ -259,18 +255,16 @@ def test_train_validations():
         predict_proba(model, np.zeros(3))
 
 
-def test_train_from_feature_vector_pairs():
+def test_train_arrays_recovers_every_region():
     rng = np.random.default_rng(0)
-    samples = []
-    for i, region in enumerate(REGIONS):
-        for _ in range(4):
-            head = np.zeros(136)
-            head[i] = 1.0 + rng.normal(0, 0.01)
-            samples.append((FeatureVector(head=head, eye=None, mode=FeatureMode.HEAD_ONLY), region))
+    X = np.zeros((len(REGIONS) * 4, 136))
+    y = np.repeat(np.arange(len(REGIONS)), 4)
+    for row, code in enumerate(y):
+        X[row, code] = 1.0 + rng.normal(0, 0.01)
     # Only 6 of the 136 features carry a signal and a split draws 11, so a
     # 30-tree forest learns every region for only some seeds; 100 trees
     # learn them for every seed tried (60 of 60).
-    model = train(samples, ForestConfig(n_trees=100, max_depth=8, rng_seed=2))
+    model = train_arrays(X, y, REGIONS, ForestConfig(n_trees=100, max_depth=8, rng_seed=2))
     assert model.feature_dim == 136
     assert model.class_order == REGIONS
     for i, region in enumerate(REGIONS):
@@ -299,15 +293,16 @@ def test_supersample_balance_counts():
 
 
 def test_subsample_of_balanced_input_is_a_permutation():
-    samples = [(f"x{i}", region) for region in REGIONS for i in range(5)]
-    out = subsample_balance(samples, seed=42)
-    assert sorted(map(str, out)) == sorted(map(str, samples))
+    labels = np.repeat(np.arange(6), 5)
+    chosen = subsample_indices(labels, 6, np.random.default_rng(42))
+    assert sorted(chosen.tolist()) == list(range(labels.size))
 
 
 def test_balance_is_seed_deterministic():
-    samples = [(i, REGIONS[i % 6]) for i in range(60)]
-    assert subsample_balance(samples, 7) == subsample_balance(samples, 7)
-    assert supersample_balance(samples, 7) == supersample_balance(samples, 7)
+    labels = np.repeat(np.arange(6), [15, 5, 10, 10, 10, 10])
+    for balance in (subsample_indices, supersample_indices):
+        first = balance(labels, 6, np.random.default_rng(7))
+        assert np.array_equal(first, balance(labels, 6, np.random.default_rng(7)))
 
 
 def test_balance_empty_class():

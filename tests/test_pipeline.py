@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gazekit.core import GazeRegion
+from gazekit.analysis import prepare_dataset
+from gazekit.core import GazeRegion, Landmarks
 from gazekit.features import FeatureMode
 from gazekit.forest import (
     LEAF,
@@ -19,10 +21,11 @@ from gazekit.pipeline import (
     DropReason,
     FrameOutcome,
     PipelineConfig,
+    classify_batch,
     classify_frame,
     decision_rates,
 )
-from gazekit.synth import SubjectProfile, generate_frame
+from gazekit.synth import SubjectProfile, generate_frame, iter_subject_frames
 
 
 def _leaf_model(counts, feature_dim=138):
@@ -53,6 +56,21 @@ def _clean_frame(occluded=False):
     return generate_frame(profile, GazeRegion.ROAD, 0, np.random.default_rng(3))
 
 
+def _degenerate_box_closed_eye():
+    record = _clean_frame(occluded=True).record
+    points = np.array(record.landmarks.points)
+    points[27:48, 0] = points[30, 0]  # the eyes-and-nose box has no width
+    return dataclasses.replace(record, landmarks=Landmarks(points))
+
+
+def _coincident_eye_corners():
+    """A record whose eye corners 0 and 3 coincide; its pupil is still found."""
+    record = _clean_frame().record
+    polygon = np.array(record.eye_polygon)
+    polygon[0] = polygon[3] = polygon.mean(axis=0)
+    return dataclasses.replace(record, eye_polygon=polygon)
+
+
 def test_no_face_drop():
     model = _leaf_model([1, 0, 0, 0, 0, 0])
     outcome = classify_frame(None, model, PipelineConfig())
@@ -66,6 +84,28 @@ def test_pupil_failed_drop_in_head_eye_mode():
     outcome = classify_frame(frame.record, model, PipelineConfig())
     assert outcome.drop is DropReason.PUPIL_FAILED
     assert outcome.pupil.status.value == "eye_closed"
+
+
+def test_degenerate_geometry_drops():
+    model = _leaf_model([1, 0, 0, 0, 0, 0])
+    outcome = classify_frame(_degenerate_box_closed_eye(), model, PipelineConfig())
+    assert outcome.drop is DropReason.NO_FACE and outcome.pupil is None  # no pupil search
+    outcome = classify_frame(_coincident_eye_corners(), model, PipelineConfig())
+    assert outcome.drop is DropReason.PUPIL_FAILED
+    assert outcome.pupil.status.value == "detected"
+
+
+def test_classify_and_prepared_dataset_count_frames_alike():
+    profile = SubjectProfile("s0", head_gain=0.5, p_face_fail=0.2, p_pupil_fail=0.2)
+    clean = [f.record for f in iter_subject_frames(profile, 3, np.random.default_rng(8))]
+    stream = [*clean, None, _degenerate_box_closed_eye(), _coincident_eye_corners(), None]
+    model = _leaf_model([1, 0, 0, 0, 0, 0])
+    drops = [outcome.drop for outcome in classify_batch(stream, model, PipelineConfig())]
+    assert {DropReason.NO_FACE, DropReason.PUPIL_FAILED, None} <= set(drops)
+    prepared = prepare_dataset(stream)
+    assert prepared.total_records == len(stream)
+    assert prepared.faces == sum(drop is not DropReason.NO_FACE for drop in drops)
+    assert prepared.pupils == drops.count(None)
 
 
 def test_low_confidence_drop():

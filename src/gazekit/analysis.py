@@ -398,6 +398,12 @@ def check_sufficiency(ds: PreparedDataset, min_frames_per_region: int):
                 )
 
 
+def _check_study(ds: PreparedDataset, cfg: EvalConfig):
+    if len(ds.subjects) < 2:
+        raise InsufficientData("leave-one-out evaluation needs at least 2 subjects")
+    check_sufficiency(ds, cfg.min_frames_per_region)
+
+
 def evaluate_user(
     subject_id: str,
     ds: PreparedDataset,
@@ -409,9 +415,7 @@ def evaluate_user(
     test supersample, and the forest seed; both modes see identical draws.
     Returns the per-user stats and that user's confusion contributions.
     """
-    if len(ds.subjects) < 2:
-        raise InsufficientData("leave-one-out evaluation needs at least 2 subjects")
-    check_sufficiency(ds, cfg.min_frames_per_region)
+    _check_study(ds, cfg)
     user_index = ds.subject_ids().index(subject_id)
     others = [sid for sid in ds.subject_ids() if sid != subject_id]
     pool = {mode: ds.pupil_pool(mode, others) for mode in cfg.modes}
@@ -474,7 +478,7 @@ def run_study(ds: PreparedDataset, cfg: EvalConfig) -> StudyResult:
     (unbalanced, single-repetition) pass per held-out subject, so it stays
     comparable with the raw face/pupil attrition counts.
     """
-    check_sufficiency(ds, cfg.min_frames_per_region)
+    _check_study(ds, cfg)
     owlness = owlness_from_prepared(ds, thresholds=cfg.owl_thresholds)
     users = []
     confusions = {mode: ConfusionMatrix() for mode in cfg.modes}

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,91 +56,108 @@ _DATA_ERRORS = (
 )
 
 
+def _parse_numbers(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(","))
+
+
 def _parse_owl_thresholds(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageError("--owl-thresholds expects two comma-separated values")
-    try:
-        low, high = (float(p) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"--owl-thresholds: {exc}") from None
-    if not low <= high:
-        raise UsageError("--owl-thresholds must satisfy low <= high")
-    return low, high
+    thresholds = _parse_numbers(raw)
+    if len(thresholds) != 2:
+        raise ValueError("expects two comma-separated values")
+    if not thresholds[0] <= thresholds[1]:
+        raise ValueError("must satisfy low <= high")
+    return thresholds
 
 
 def _parse_pupil_grid(raw: str) -> ParamGrid:
     parts = raw.split(",")
     if len(parts) != 9:
-        raise UsageError("--pupil-grid expects 9 comma-separated values")
-    try:
-        thresholds = tuple(float(p) for p in parts[:3])
-        openings = tuple(int(p) for p in parts[3:6])
-        closings = tuple(int(p) for p in parts[6:9])
-        return ParamGrid(thresholds, openings, closings)
-    except ValueError as exc:
-        raise UsageError(f"--pupil-grid: {exc}") from None
+        raise ValueError("expects 9 comma-separated values")
+    thresholds = tuple(float(p) for p in parts[:3])
+    openings = tuple(int(p) for p in parts[3:6])
+    closings = tuple(int(p) for p in parts[6:9])
+    return ParamGrid(thresholds, openings, closings)
 
 
-def _parse_alphas(raw: str) -> list[float]:
-    try:
-        return [float(p) for p in raw.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"--alphas: {exc}") from None
+class _Setting(NamedTuple):
+    """One setting: a ``--flag`` of each subcommand in ``commands`` and a key
+    of their config files. ``default`` and ``choices`` may map a subcommand
+    to its own value. ``interval`` holds the allowed values (of each element,
+    for a list) in interval notation; a square bracket includes its end.
+    ``parse`` turns the text of a list-valued setting into its value."""
+
+    name: str
+    commands: tuple[str, ...]
+    kind: type = str
+    default: object = None
+    choices: object = None
+    interval: str | None = None
+    parse: Callable | None = None
+    required: bool = False
+    help: str | None = None
 
 
-_COMMON_DEFAULTS = {
-    "seed": 0,
-    "pupil_grid": None,
-    "config": None,
-}
+_ALL = ("synth", "train", "evaluate", "classify")
+_FOREST = ("train", "evaluate")
 
-_DEFAULTS = {
-    "synth": {
-        **_COMMON_DEFAULTS,
-        "subjects": 40,
-        "frames_per_region": 120,
-        "alphas": None,
-        "head_motion": 7.0,
-        "landmark_jitter": 1.0,
-        "image_noise": 8.0,
-        "p_face_fail": 0.0,
-        "p_pupil_fail": 0.0,
-        "out": None,
-    },
-    "train": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "out": None,
-        "mode": "head-eye",
-        "trees": 2000,
-        "depth": 25,
-        "min_leaf": 1,
-        "min_frames": 120,
-    },
-    "evaluate": {
-        **_COMMON_DEFAULTS,
-        "data": None,
-        "out": None,
-        "mode": "both",
-        "trees": 2000,
-        "depth": 25,
-        "min_leaf": 1,
-        "min_frames": 120,
-        "repetitions": 100,
-        "confidence_threshold": 10.0,
-        "owl_thresholds": "0.45,0.55",
-        "fps": 30.0,
-        "plots": False,
-    },
-    "classify": {
-        **_COMMON_DEFAULTS,
-        "model": None,
-        "data": None,
-        "out": None,
-        "confidence_threshold": 10.0,
-    },
-}
+# The population generator, the forest, the study, the pruning rule and the
+# rate report refuse values outside these intervals, some of them only after
+# the pupil stage; the CLI refuses them before any work.
+_SETTINGS = (
+    _Setting("seed", _ALL, int, 0),
+    _Setting("config", _ALL, Path, help="JSON config file"),
+    _Setting(
+        "pupil_grid", _ALL, parse=_parse_pupil_grid,
+        help="9 comma-separated values: 3 CDF thresholds, 3 opening windows, 3 closing windows",
+    ),
+    _Setting("subjects", ("synth",), int, 40, interval="[1, inf)"),
+    _Setting("frames_per_region", ("synth",), int, 120, interval="[120, inf)"),
+    _Setting(
+        "alphas", ("synth",), interval="[0, 1]", parse=_parse_numbers,
+        help="comma-separated head gains, one per subject",
+    ),
+    _Setting("head_motion", ("synth",), float, 7.0, interval="(-inf, inf)"),
+    _Setting("landmark_jitter", ("synth",), float, 1.0, interval="[0, inf)"),
+    _Setting("image_noise", ("synth",), float, 8.0, interval="[0, inf]"),
+    _Setting("p_face_fail", ("synth",), float, 0.0, interval="[0, 1]"),
+    _Setting("p_pupil_fail", ("synth",), float, 0.0, interval="[0, 1]"),
+    _Setting("model", ("classify",), Path, required=True),
+    _Setting(
+        "data", ("train", "evaluate", "classify"), Path, required=True,
+        help="dataset directory or frames.jsonl",
+    ),
+    _Setting(
+        "out", _ALL, Path, required=True,
+        help="dataset directory (synth), model file (train), report directory (evaluate) "
+        "or decisions JSONL (classify) to write",
+    ),
+    _Setting(
+        "mode", _FOREST,
+        default={"train": "head-eye", "evaluate": "both"},
+        choices={"train": ("head-only", "head-eye"), "evaluate": ("head-only", "head-eye", "both")},
+    ),
+    _Setting("trees", _FOREST, int, 2000, interval="[1, inf)"),
+    _Setting("depth", _FOREST, int, 25, interval="[1, inf)"),
+    _Setting("min_leaf", _FOREST, int, 1, interval="[1, inf)"),
+    _Setting("min_frames", _FOREST, int, 120),
+    _Setting("repetitions", ("evaluate",), int, 100, interval="[1, inf)"),
+    _Setting("confidence_threshold", ("evaluate", "classify"), float, 10.0, interval="[1, inf]"),
+    _Setting(
+        "owl_thresholds", ("evaluate",), default="0.45,0.55", parse=_parse_owl_thresholds,
+        help="low,high partition values",
+    ),
+    _Setting("fps", ("evaluate",), float, 30.0, interval="(0, inf]"),
+    _Setting("plots", ("evaluate",), bool, False),
+)
+
+
+def _for_command(command: str, value):
+    """The value of a row field for ``command``."""
+    return value[command] if isinstance(value, dict) else value
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,145 +165,106 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gazekit", description="Driver gaze-region classification toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument(
-            "--pupil-grid",
-            default=None,
-            help="9 comma-separated values: 3 CDF thresholds, 3 opening windows, 3 closing windows",
-        )
-
-    p = sub.add_parser("synth", help="generate a synthetic driver population")
-    common(p)
-    p.add_argument("--subjects", type=int, default=None)
-    p.add_argument("--frames-per-region", type=int, default=None)
-    p.add_argument("--alphas", default=None, help="comma-separated head gains, one per subject")
-    p.add_argument("--head-motion", type=float, default=None)
-    p.add_argument("--landmark-jitter", type=float, default=None)
-    p.add_argument("--image-noise", type=float, default=None)
-    p.add_argument("--p-face-fail", type=float, default=None)
-    p.add_argument("--p-pupil-fail", type=float, default=None)
-    p.add_argument("--out", type=Path, required=True, help="output dataset directory")
-
-    p = sub.add_parser("train", help="train a gaze-region model on a dataset")
-    common(p)
-    p.add_argument("--data", type=Path, required=True, help="dataset directory or frames.jsonl")
-    p.add_argument("--out", type=Path, required=True, help="model file to write")
-    p.add_argument("--mode", choices=["head-only", "head-eye"], default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--min-frames", type=int, default=None)
-
-    p = sub.add_parser("evaluate", help="leave-one-subject-out evaluation with reports")
-    common(p)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="report directory")
-    p.add_argument("--mode", choices=["head-only", "head-eye", "both"], default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--min-frames", type=int, default=None)
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--confidence-threshold", type=float, default=None)
-    p.add_argument("--owl-thresholds", default=None, help="low,high partition values")
-    p.add_argument("--fps", type=float, default=None)
-    p.add_argument("--plots", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("classify", help="stream per-frame decisions for a dataset")
-    common(p)
-    p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--data", type=Path, required=True)
-    p.add_argument("--out", type=Path, required=True, help="decisions JSONL to write")
-    p.add_argument("--confidence-threshold", type=float, default=None)
-
+    for command, (_, help_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for row in _SETTINGS:
+            if command not in row.commands:
+                continue
+            if row.kind is bool:
+                p.add_argument(_flag(row.name), action="store_const", const=True, help=row.help)
+            else:
+                p.add_argument(
+                    _flag(row.name),
+                    type=row.kind,
+                    choices=_for_command(command, row.choices),
+                    required=row.required,
+                    help=row.help,
+                )
     return parser
 
 
-# Range of each numeric setting: lowest value, whether that value itself is
-# allowed, and highest value (inclusive) if any. The population generator,
-# the forest, the study, the pruning rule and the rate report refuse
-# anything outside, and some would only do so after the pupil stage.
-_RANGES = {
-    "subjects": (1, True, None),
-    "frames_per_region": (120, True, None),
-    "p_face_fail": (0.0, True, 1.0),
-    "p_pupil_fail": (0.0, True, 1.0),
-    "landmark_jitter": (0.0, True, None),
-    "image_noise": (0.0, True, None),
-    "trees": (1, True, None),
-    "depth": (1, True, None),
-    "min_leaf": (1, True, None),
-    "repetitions": (1, True, None),
-    "confidence_threshold": (1.0, True, None),
-    "fps": (0.0, False, None),
-}
+def _config_type_ok(kind: type, value) -> bool:
+    """A bool must be a bool; an int refuses a float, a string or a bool; a
+    float accepts an int; text and paths are strings."""
+    if kind is bool or isinstance(value, bool):
+        return type(value) is kind
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, int if kind is int else str)
 
 
-def _check_range(key: str, value):
-    low, inclusive, high = _RANGES[key]
-    above = value >= low if inclusive else value > low
-    if not (above and (high is None or value <= high)):  # NaN fails too
-        if high is None:
-            wanted = f"{'>=' if inclusive else '>'} {low}"
-        else:
-            wanted = f"in [{low}, {high}]"
-        raise UsageError(f"--{key.replace('_', '-')} must be {wanted}, got {value}")
+def _in_interval(interval: str, value) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value >= low if interval[0] == "[" else value > low
+    below = value <= high if interval[-1] == "]" else value < high
+    return above and below  # NaN is in no interval
 
 
-def _check_config_type(key: str, value, default):
-    """A config-file value must have its default's type; an int may stand
-    for a float. Keys whose default is None take any value."""
-    if default is None:
-        return
-    if isinstance(default, bool) or isinstance(value, bool):
-        ok = type(value) is type(default)
-    elif isinstance(default, float):
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, type(default))
-    if not ok:
-        raise UsageError(
-            f"config key {key!r} must be of type {type(default).__name__}, "
-            f"got {json.dumps(value)}"
-        )
+def _check(row: _Setting, command: str, value, label: str):
+    """``value`` checked against its row, and parsed if the row says how."""
+    choices = _for_command(command, row.choices)
+    if choices is not None and value not in choices:
+        raise UsageError(f"{label} must be one of {', '.join(choices)}, got {value!r}")
+    if value is None:
+        return None
+    if row.parse is not None:
+        try:
+            value = row.parse(value)
+        except ValueError as exc:
+            raise UsageError(f"{label}: {exc}") from None
+    if row.interval is not None:
+        for element in value if isinstance(value, tuple) else (value,):
+            if not _in_interval(row.interval, element):
+                raise UsageError(f"{label} must be in {row.interval}, got {element}")
+    return value
+
+
+def _read_config(path: Path, command: str, rows: dict) -> dict:
+    try:
+        from_file = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    if not isinstance(from_file, dict):
+        raise UsageError("config file must hold a JSON object")
+    for key, value in from_file.items():
+        if key not in rows:
+            raise UsageError(f"unknown config key for {command!r}: {key!r}")
+        row = rows[key]
+        if value is None and _for_command(command, row.default) is None:
+            continue
+        if not _config_type_ok(row.kind, value):
+            kind = "str" if row.kind is Path else row.kind.__name__
+            raise UsageError(
+                f"config key {key!r} ({_flag(key)}) must be of type {kind}, "
+                f"got {json.dumps(value)}"
+            )
+    return from_file
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
-    defaults = _DEFAULTS[args.command]
-    from_file = {}
-    if args.config is not None:
-        try:
-            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        if not isinstance(from_file, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in from_file.items():
-            if key not in defaults:
-                raise UsageError(f"unknown config key for {args.command!r}: {key!r}")
-            _check_config_type(key, value, defaults[key])
-    resolved = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
-        elif key in from_file:
-            resolved[key] = from_file[key]
-        else:
-            resolved[key] = default
-        if key in _RANGES:
-            _check_range(key, resolved[key])
-    resolved["command"] = args.command
-    return resolved
-
-
-def _grid_from(resolved: dict) -> ParamGrid:
-    raw = resolved.get("pupil_grid")
-    return DEFAULT_GRID if raw is None else _parse_pupil_grid(str(raw))
+    """Merge CLI flags over config-file values over defaults, and check and
+    parse every setting before any input is opened or output written. The
+    values as given, for ``resolved_config.json``, are under ``"recorded"``."""
+    command = args.command
+    rows = {row.name: row for row in _SETTINGS if command in row.commands}
+    from_file = {} if args.config is None else _read_config(args.config, command, rows)
+    settings, recorded = {}, {}
+    for name, row in rows.items():
+        value, label = getattr(args, name), _flag(name)
+        if value is None and name in from_file:
+            value, label = from_file[name], f"config key {name!r} ({label})"
+        if value is None:
+            value = _for_command(command, row.default)
+        recorded[name] = str(value) if isinstance(value, Path) else value
+        settings[name] = _check(row, command, value, label)
+    alphas = settings.get("alphas")
+    if alphas is not None and len(alphas) != settings["subjects"]:
+        raise UsageError(
+            f"--alphas needs one head gain per subject ({settings['subjects']}), got {len(alphas)}"
+        )
+    recorded["command"] = command
+    settings["recorded"] = recorded
+    return settings
 
 
 def _dataset_path(data: Path) -> Path:
@@ -293,25 +272,13 @@ def _dataset_path(data: Path) -> Path:
     return data / "frames.jsonl" if data.is_dir() else data
 
 
-def _jsonable_config(resolved: dict) -> dict:
-    out = {}
-    for key, value in resolved.items():
-        if isinstance(value, Path):
-            value = str(value)
-        out[key] = value
-    return out
-
-
 def cmd_synth(resolved: dict) -> int:
-    alphas = resolved["alphas"]
-    if isinstance(alphas, str):
-        alphas = _parse_alphas(alphas)
     manifest = synth.generate_population(
         resolved["out"],
         n_subjects=resolved["subjects"],
         frames_per_region=resolved["frames_per_region"],
         seed=resolved["seed"],
-        alphas=alphas,
+        alphas=resolved["alphas"],
         head_motion_px=resolved["head_motion"],
         landmark_jitter=resolved["landmark_jitter"],
         image_noise=resolved["image_noise"],
@@ -327,7 +294,9 @@ def _prepare(resolved: dict) -> analysis.PreparedDataset:
     path = _dataset_path(resolved["data"])
     if not path.exists():
         raise DataFormatError(f"dataset not found: {path}")
-    return analysis.prepare_dataset(dataio.iter_dataset(path), _grid_from(resolved))
+    return analysis.prepare_dataset(
+        dataio.iter_dataset(path), resolved["pupil_grid"] or DEFAULT_GRID
+    )
 
 
 def cmd_train(resolved: dict) -> int:
@@ -366,7 +335,6 @@ def cmd_evaluate(resolved: dict) -> int:
         modes = (FeatureMode.HEAD_ONLY, FeatureMode.HEAD_AND_EYE)
     else:
         modes = (FeatureMode(mode_arg),)
-    owl_thresholds = _parse_owl_thresholds(resolved["owl_thresholds"])
     prepared = _prepare(resolved)
     cfg = analysis.EvalConfig(
         modes=modes,
@@ -380,7 +348,7 @@ def cmd_evaluate(resolved: dict) -> int:
         ),
         seed=resolved["seed"],
         min_frames_per_region=resolved["min_frames"],
-        owl_thresholds=owl_thresholds,
+        owl_thresholds=resolved["owl_thresholds"],
     )
     study = analysis.run_study(prepared, cfg)
     delta = analysis.accuracy_delta_report(study) if len(modes) > 1 else None
@@ -388,9 +356,9 @@ def cmd_evaluate(resolved: dict) -> int:
         resolved["out"],
         study,
         delta,
-        _jsonable_config(resolved),
+        resolved["recorded"],
         fps=resolved["fps"],
-        plots=bool(resolved["plots"]),
+        plots=resolved["plots"],
     )
     print(json.dumps({"reports": [str(p) for p in written]}, sort_keys=True))
     return 0
@@ -436,7 +404,7 @@ def cmd_classify(resolved: dict) -> int:
     cfg = PipelineConfig(
         mode=mode,
         confidence_threshold=resolved["confidence_threshold"],
-        grid=_grid_from(resolved),
+        grid=resolved["pupil_grid"] or DEFAULT_GRID,
     )
     ledger = AttritionLedger()
     path = _dataset_path(resolved["data"])
@@ -466,10 +434,10 @@ def cmd_classify(resolved: dict) -> int:
 
 
 _COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "classify": cmd_classify,
+    "synth": (cmd_synth, "generate a synthetic driver population"),
+    "train": (cmd_train, "train a gaze-region model on a dataset"),
+    "evaluate": (cmd_evaluate, "leave-one-subject-out evaluation with reports"),
+    "classify": (cmd_classify, "stream per-frame decisions for a dataset"),
 }
 
 
@@ -481,7 +449,7 @@ def main(argv=None) -> int:
         return int(exit_.code or 0)
     try:
         resolved = _resolve(args)
-        return _COMMANDS[args.command](resolved)
+        return _COMMANDS[args.command][0](resolved)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ __all__ = [
     "REGIONS",
     "N_REGIONS",
     "NOSE_TIP_INDEX",
-    "RIGHT_EYE_SLICE",
     "NORMALIZING_SLICE",
     "region_index",
     "index_to_region",
@@ -63,7 +62,6 @@ _REGION_BY_NAME = {region.value: region for region in REGIONS}
 # camera mirroring of the dataset producer; the pipeline itself only assumes
 # the eye crop it is handed corresponds to landmarks 36-41.
 NOSE_TIP_INDEX = 30
-RIGHT_EYE_SLICE = slice(36, 42)
 NORMALIZING_SLICE = slice(27, 48)  # nose plus both eyes
 
 
@@ -110,10 +108,6 @@ class Landmarks:
     @property
     def nose_tip(self) -> np.ndarray:
         return self.points[NOSE_TIP_INDEX]
-
-    @property
-    def right_eye(self) -> np.ndarray:
-        return self.points[RIGHT_EYE_SLICE]
 
 
 @dataclass(frozen=True)

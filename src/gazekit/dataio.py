@@ -66,10 +66,12 @@ MODEL_VERSION = 2
 # PGM (P5) eye crops
 # ---------------------------------------------------------------------------
 
-def write_pgm(path, image: GrayImage):
-    path = Path(path)
+def write_pgm(path, image: GrayImage) -> bytes:
+    """Write ``image`` as a binary PGM; returns the bytes written."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    path.write_bytes(header + image.pixels.tobytes())
+    data = header + image.pixels.tobytes()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_pgm(path) -> GrayImage:
@@ -241,9 +243,8 @@ def write_dataset(out_dir, frames: Iterable, meta: dict | None = None) -> dict:
                 subject_dir = crops_dir / frame.subject_id
                 subject_dir.mkdir(exist_ok=True)
                 rel = f"crops/{frame.subject_id}/{frame.frame_index:06d}.pgm"
-                write_pgm(out_dir / rel, frame.record.eye_crop)
                 crop_hash.update(rel.encode("utf-8"))
-                crop_hash.update((out_dir / rel).read_bytes())
+                crop_hash.update(write_pgm(out_dir / rel, frame.record.eye_crop))
                 obj = frame_to_obj(frame.record, rel)
             stream.write(json.dumps(obj) + "\n")
 

@@ -17,6 +17,7 @@ alignment outputs in practice, the jawline, brows, and mouth the noisiest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -340,6 +341,8 @@ def generate_population(
 
     if frames_per_region < 120:
         raise ValueError("frames_per_region must be >= 120")
+    # An unusable out_dir fails here, before a large population is drawn.
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     profiles = population_profiles(n_subjects, seed, alphas, **profile_overrides)
     frames = population_frames(
         n_subjects,

@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gazekit.cli import CLASSIFY_BATCH, _decision_obj, main
+from gazekit.cli import _SETTINGS, CLASSIFY_BATCH, _decision_obj, main
 from gazekit.core import REGIONS
 from gazekit.dataio import iter_dataset, load_manifest, load_model, save_model
 from gazekit.features import FeatureMode, build_feature
 from gazekit.forest import ForestConfig, train_arrays
 from gazekit.pipeline import PipelineConfig, classify_frame
+from gazekit.pupil import DEFAULT_GRID
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +115,14 @@ def test_train_without_any_face_is_a_data_error(tmp_path, capsys):
     assert "no subject" in capsys.readouterr().err
 
 
+def test_evaluate_without_two_subjects_is_a_data_error_before_any_report(tmp_path, capsys):
+    (tmp_path / "frames.jsonl").write_text("{ broken\n")
+    out = tmp_path / "reports"
+    assert main(["evaluate", "--data", str(tmp_path), "--out", str(out)]) == 3
+    assert "at least 2 subjects" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_stream(dataset, tmp_path, capsys):
     code, model_path, _ = _train(dataset, tmp_path, "head-eye", capsys)
     assert code == 0
@@ -187,6 +198,22 @@ def test_classify_writes_pupil_failed_for_coincident_eye_corners(dataset, tmp_pa
     summary = json.loads(capsys.readouterr().out)
     assert json.loads(decisions.read_text())["status"] == "pupil_failed"
     assert (summary["faces_detected"], summary["pupils_detected"]) == (1, 0)
+
+
+def test_classify_with_the_default_pupil_grid_spelled_out_is_unchanged(dataset, tmp_path, capsys):
+    code, model_path, _ = _train(dataset, tmp_path, "head-eye", capsys)
+    assert code == 0
+    grid = ",".join(
+        map(str, (*DEFAULT_GRID.cdf_thresholds, *DEFAULT_GRID.opening_windows,
+                  *DEFAULT_GRID.closing_windows))
+    )
+    argv = ["classify", "--model", str(model_path), "--data", str(dataset)]
+    assert main([*argv, "--out", str(tmp_path / "implicit.jsonl")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "explicit.jsonl"), "--pupil-grid", grid]) == 0
+    capsys.readouterr()
+    implicit = (tmp_path / "implicit.jsonl").read_bytes()
+    assert implicit.count(b"\n") == 2 * 6 * 120
+    assert (tmp_path / "explicit.jsonl").read_bytes() == implicit
 
 
 @pytest.mark.parametrize("mode", ["head-only", "head-eye"])
@@ -356,6 +383,8 @@ def test_config_file_unknown_key(dataset, tmp_path, capsys):
         ("evaluate", {"mode": 3}, 2),
         # an int stands for a float; the missing dataset then fails the run
         ("evaluate", {"fps": 30, "confidence_threshold": 2}, 3),
+        ("train", {"mode": "both"}, 2),
+        ("evaluate", {"mode": "bogus"}, 2),
     ],
 )
 def test_config_file_value_types(tmp_path, capsys, command, values, code):
@@ -366,6 +395,15 @@ def test_config_file_value_types(tmp_path, capsys, command, values, code):
     err = capsys.readouterr().err
     if code == 2:
         assert repr(next(iter(values))) in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    argv = ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--config", str(config)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
@@ -388,6 +426,16 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
         ("evaluate", "fps", 0.0),
         ("classify", "confidence_threshold", 0.5),
         ("classify", "confidence_threshold", float("nan")),
+        *(
+            (command, "pupil_grid", grid)
+            for command in ("train", "evaluate", "classify")
+            for grid in (
+                "0.03,0.05,0.1,1,3,5,1,3",  # eight values
+                "0.03,0.05,low,1,3,5,1,3,5",
+                "0.03,0.05,0.1,1,3,5,1,4,5",  # an even window
+                "0.05,0.03,0.1,1,3,5,1,3,5",  # unsorted
+            )
+        ),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -418,6 +466,15 @@ def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, command,
         ("p_pupil_fail", 1.5),
         ("landmark_jitter", -1.0),
         ("image_noise", -1.0),
+        ("alphas", "0.5"),  # one gain for 40 subjects
+        ("alphas", ",".join(["0.5"] * 39 + ["1.5"])),
+        ("alphas", ",".join(["0.5"] * 39 + ["-0.1"])),
+        ("alphas", "0.5,x"),
+        ("alphas", 5),
+        ("alphas", [0.5, "x"]),
+        ("head_motion", float("nan")),
+        ("head_motion", float("inf")),
+        ("head_motion", float("-inf")),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -447,6 +504,46 @@ def test_owl_thresholds_must_be_numbers(tmp_path, capsys, source):
         argv += ["--config", str(config)]
     assert main(argv) == 2
     assert "--owl-thresholds" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.sampled_from([2**64, -(2**64), 10**40]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=12),
+        st.sampled_from(
+            ["head-only", "both", "0.45,0.55", "0.55,0.45", "0.03,0.05,0.1,1,3,5,1,3,5", "1e999"]
+        ),
+    ),
+    lambda children: st.lists(children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "evaluate", "classify"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_never_exits_4(tmp_path_factory, command, data):
+    keys = [row.name for row in _SETTINGS if command in row.commands]
+    values = data.draw(
+        st.dictionaries(st.sampled_from(keys), _JSON_VALUES, max_size=3), label="config"
+    )
+    root = tmp_path_factory.getbasetemp() / f"fuzz_{command}"
+    root.mkdir(exist_ok=True)
+    config = root / "config.json"
+    config.write_text(json.dumps(values))
+    if command == "synth":
+        # Under a regular file, a valid config fails at mkdir, before any work.
+        (root / "file").write_text("")
+        argv = ["synth", "--out", str(root / "file" / "population")]
+    else:
+        argv = [command, "--data", str(root / "nope"), "--out", str(root / "out")]
+        if command == "classify":
+            argv += ["--model", str(root / "nope.gzkf")]
+    assert main([*argv, "--config", str(config)]) in (2, 3)
 
 
 def _head_only_rows(dataset):

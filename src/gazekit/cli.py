@@ -102,7 +102,10 @@ _FOREST = ("train", "evaluate")
 
 # The population generator, the forest, the study, the pruning rule and the
 # rate report refuse values outside these intervals, some of them only after
-# the pupil stage; the CLI refuses them before any work.
+# the pupil stage; the CLI refuses them before any work. The upper bounds of
+# the population keep its profiles and every eye crop small in memory: the
+# crop spans the jittered eye landmarks, and a jitter of 20 px is already
+# a fifth of the face's width.
 _SETTINGS = (
     _Setting("seed", _ALL, int, 0),
     _Setting("config", _ALL, Path, help="JSON config file"),
@@ -110,14 +113,14 @@ _SETTINGS = (
         "pupil_grid", _ALL, parse=_parse_pupil_grid,
         help="9 comma-separated values: 3 CDF thresholds, 3 opening windows, 3 closing windows",
     ),
-    _Setting("subjects", ("synth",), int, 40, interval="[1, inf)"),
-    _Setting("frames_per_region", ("synth",), int, 120, interval="[120, inf)"),
+    _Setting("subjects", ("synth",), int, 40, interval="[1, 1000]"),
+    _Setting("frames_per_region", ("synth",), int, 120, interval="[120, 10000]"),
     _Setting(
         "alphas", ("synth",), interval="[0, 1]", parse=_parse_numbers,
         help="comma-separated head gains, one per subject",
     ),
     _Setting("head_motion", ("synth",), float, 7.0, interval="(-inf, inf)"),
-    _Setting("landmark_jitter", ("synth",), float, 1.0, interval="[0, inf)"),
+    _Setting("landmark_jitter", ("synth",), float, 1.0, interval="[0, 20]"),
     _Setting("image_noise", ("synth",), float, 8.0, interval="[0, inf]"),
     _Setting("p_face_fail", ("synth",), float, 0.0, interval="[0, 1]"),
     _Setting("p_pupil_fail", ("synth",), float, 0.0, interval="[0, 1]"),

@@ -40,7 +40,7 @@ from .core import (
     Landmarks,
     region_from_name,
 )
-from .forest import LEAF, ForestConfig, ForestModel, ForestNodes, TrainingDigest
+from .forest import LEAF, ForestConfig, ForestModel, ForestNodes, TrainingDigest, node_problem
 
 __all__ = [
     "write_pgm",
@@ -373,43 +373,26 @@ def _parse_model(path, data: bytes) -> ForestModel:
     counts = struct.unpack_from(f"<{n_classes}Q", data, offset)
     offset += 8 * n_classes
 
-    # Every check is on whole blocks; a file that passes them walks from
-    # each root to a leaf with class mass in at most tree-size steps.
     sizes, offset = _block(path, data, offset, "<u4", n_trees)
-    if (sizes == 0).any():
-        raise DataFormatError(f"{path}: empty tree")
     n_nodes = int(sizes.sum(dtype=np.int64))
     feature, offset = _block(path, data, offset, "<i4", n_nodes)
-    if (feature < LEAF).any():
-        raise DataFormatError(f"{path}: unknown node tag {int(feature.min())}")
-    if (feature >= feature_dim).any():
-        raise DataFormatError(
-            f"{path}: split feature index {int(feature.max())} outside feature_dim {feature_dim}"
-        )
     is_split = feature != LEAF
     n_splits = int(is_split.sum())
     split_threshold, offset = _block(path, data, offset, "<f8", n_splits)
-    if not np.isfinite(split_threshold).all():
-        raise DataFormatError(f"{path}: non-finite split threshold")
     split_right, offset = _block(path, data, offset, "<u4", n_splits)
-    roots = np.cumsum(sizes, dtype=np.int64) - sizes
-    position = np.arange(n_nodes) - np.repeat(roots, sizes)
-    if (
-        (split_right <= position[is_split])
-        | (split_right >= np.repeat(sizes, sizes)[is_split])
-    ).any():
-        raise DataFormatError(f"{path}: right child outside its tree or not after its parent")
     leaf_counts, offset = _block(path, data, offset, "<u4", (n_nodes - n_splits) * n_classes)
     leaf_counts = leaf_counts.reshape(-1, n_classes)
-    if (leaf_counts.sum(axis=1) == 0).any():
-        raise DataFormatError(f"{path}: leaf with no class mass")
     if offset != len(data):
         raise DataFormatError(f"{path}: trailing bytes after model payload")
 
+    roots = np.cumsum(sizes, dtype=np.int64) - sizes
     threshold = np.zeros(n_nodes)
     threshold[is_split] = split_threshold
     right = np.full(n_nodes, -1, dtype=np.int32)
-    right[is_split] = split_right
+    right[is_split] = split_right  # u32 above 2^31 - 1 wraps negative and fails the check
+    problem = node_problem(roots, feature, threshold, right, leaf_counts, feature_dim)
+    if problem is not None:
+        raise DataFormatError(f"{path}: {problem}")
     try:
         class_order: tuple = tuple(region_from_name(name) for name in names)
     except DataFormatError:
@@ -427,7 +410,7 @@ def _parse_model(path, data: bytes) -> ForestModel:
         rng_seed=digest_seed,
         bootstrap_coverage=float(coverage),
     )
-    return ForestModel(
+    model = ForestModel(
         config=cfg,
         nodes=ForestNodes(
             roots, feature.astype(np.int32, copy=False), threshold, right, leaf_counts
@@ -436,3 +419,5 @@ def _parse_model(path, data: bytes) -> ForestModel:
         class_order=class_order,
         training_digest=digest,
     )
+    model._walkable = model.nodes  # node_problem passed above; prediction need not repeat it
+    return model

@@ -1,7 +1,8 @@
 """Random-forest classifier built from first principles.
 
 Trees are CART classifiers: Gini impurity, thresholds at midpoints between
-consecutive sorted unique feature values, a uniformly sampled feature subset
+consecutive sorted unique feature values (the lower value where the float
+midpoint is not below the upper one), a uniformly sampled feature subset
 per split, and growth until the depth cap, purity, or the leaf-size floor.
 Split ties resolve to the lowest feature index then lowest threshold.
 Prediction averages the leaf class fractions across trees.
@@ -19,6 +20,15 @@ candidate nodes in breadth-first order. Training is reproducible bit for bit.
 Setting the ``GZK_THREADS`` environment variable above 1 trains trees in a
 process pool; results are identical to a serial run because each tree depends
 only on its derived seed and trees are collected in index order.
+
+The two hot loops, the level split search (``_level_splits``) and the tree
+walk of prediction (``_leaf_nodes``), also exist as C kernels in
+``_kernels.c``. On first use the source is compiled with the system ``cc``
+into ``$XDG_CACHE_HOME/gazekit/`` (default ``~/.cache/gazekit/``), keyed by
+the hash of the source, the flags and the machine, and loaded with ctypes.
+The kernels give bit-identical trees and probabilities. Without a compiler
+or a writable cache directory, or when the build or the load fails (which
+prints one warning on stderr), the numpy functions run instead.
 """
 
 from __future__ import annotations
@@ -27,7 +37,9 @@ import itertools
 import math
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -145,6 +157,8 @@ class ForestModel:
     feature_dim: int
     class_order: tuple
     training_digest: TrainingDigest
+    # The node arrays that passed ``node_problem``, checked before their first walk.
+    _walkable: ForestNodes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nodes.n_trees != self.config.n_trees:
@@ -159,6 +173,39 @@ class ForestModel:
         return self.nodes
 
 
+def node_problem(roots, feature, threshold, right, leaf_counts, feature_dim) -> str | None:
+    """The first structural fault of preorder node arrays, or None.
+
+    Arrays that pass can be walked from each root to a leaf with class mass
+    in at most tree-size steps, reading only inside the arrays: every tag is
+    a feature index below ``feature_dim`` or LEAF, every split threshold is
+    finite, and every right child lies after its parent and inside its tree.
+    """
+    n_nodes = feature.size
+    if not (feature.shape == threshold.shape == right.shape == (n_nodes,)):
+        return "node arrays of different lengths"
+    sizes = np.diff(roots, append=n_nodes)
+    if roots.size == 0 or roots[0] != 0 or (sizes <= 0).any():
+        return "empty tree"
+    if (feature < LEAF).any():
+        return f"unknown node tag {int(feature.min())}"
+    if (feature >= feature_dim).any():
+        return f"split feature index {int(feature.max())} outside feature_dim {feature_dim}"
+    is_split = feature != LEAF
+    if not np.isfinite(threshold[is_split]).all():
+        return "non-finite split threshold"
+    position = np.arange(n_nodes) - np.repeat(roots, sizes)
+    split_right = right[is_split]
+    tree_size = np.repeat(sizes, sizes)[is_split]
+    if ((split_right <= position[is_split]) | (split_right >= tree_size)).any():
+        return "right child outside its tree or not after its parent"
+    if leaf_counts.ndim != 2 or leaf_counts.shape[0] != n_nodes - int(is_split.sum()):
+        return "leaf class counts do not match the leaves"
+    if (leaf_counts.sum(axis=1) == 0).any():
+        return "leaf with no class mass"
+    return None
+
+
 def thread_count() -> int:
     """Worker cap from GZK_THREADS (default 1; invalid values fall back to 1)."""
     raw = os.environ.get("GZK_THREADS", "1")
@@ -169,20 +216,167 @@ def thread_count() -> int:
 
 
 # ---------------------------------------------------------------------------
+# Compiled kernels
+# ---------------------------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_COMPILER = "cc"  # looked up on PATH
+_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+_UNRESOLVED = object()
+# The kernel handle: a _Kernels, None for the numpy path, or _UNRESOLVED
+# until the first call of _kernels().
+_kernel = _UNRESOLVED
+
+
+def _carray(array, dtype):
+    """``array`` as a C-contiguous array of ``dtype``, copied only if needed."""
+    return np.ascontiguousarray(array, dtype=dtype)
+
+
+class _Kernels:
+    """The functions of ``_kernels.c``, called like their numpy counterparts."""
+
+    def __init__(self, lib):
+        import ctypes
+
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        self._lib = lib  # keeps the library loaded
+        self._predict = lib.gzk_predict
+        self._predict.argtypes = [i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
+        self._predict.restype = ctypes.c_int
+        self._level_splits = lib.gzk_level_splits
+        self._level_splits.argtypes = (
+            [i64, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64]
+            + [ptr, ptr, ptr]
+        )
+        self._level_splits.restype = i64
+
+    def predict(self, nodes: ForestNodes, X: np.ndarray) -> np.ndarray:
+        """``fractions[_leaf_nodes(nodes, X)].mean(axis=1)``."""
+        X, roots = _carray(X, np.float64), _carray(nodes.roots, np.int64)
+        feature, threshold = _carray(nodes.feature, np.int32), _carray(nodes.threshold, np.float64)
+        right_node = _carray(nodes.right_node, np.int64)
+        fractions = _carray(nodes.fractions, np.float64)
+        if not threshold.shape == right_node.shape == fractions.shape[:1] == feature.shape:
+            raise ValueError("node arrays of different lengths")
+        probs = np.zeros((X.shape[0], fractions.shape[1]))
+        status = self._predict(
+            X.shape[0], X.shape[1], X.ctypes.data, roots.size, roots.ctypes.data,
+            feature.size, feature.ctypes.data, threshold.ctypes.data, right_node.ctypes.data,
+            fractions.shape[1], fractions.ctypes.data, probs.ctypes.data,
+        )
+        if status:
+            raise ValueError("forest walk left its tree")
+        return probs
+
+    def level_splits(self, counts, feats, rows, slot, data, weight, min_leaf):
+        """``_level_splits`` with the same inputs and results."""
+        X, y, ranks = data
+        X, y, ranks = _carray(X, np.float64), _carray(y, np.int64), _carray(ranks, np.int32)
+        counts, feats, weight = (_carray(a, np.int64) for a in (counts, feats, weight))
+        rows, slot = _carray(rows, np.int64), _carray(slot, np.int64)
+        m = counts.shape[0]
+        node, feature, threshold = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
+        found = self._level_splits(
+            X.shape[0], X.shape[1], counts.shape[1], X.ctypes.data, y.ctypes.data,
+            ranks.ctypes.data, weight.ctypes.data, m, feats.shape[1], counts.ctypes.data,
+            feats.ctypes.data, rows.size, rows.ctypes.data, slot.ctypes.data, min_leaf,
+            node.ctypes.data, feature.ctypes.data, threshold.ctypes.data,
+        )
+        if found < 0:
+            raise MemoryError("split search scratch")
+        return node[:found], feature[:found], threshold[:found]
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/gazekit`` (default ``~/.cache/gazekit``), created
+    with mode 0700; None unless it is a directory of this user that no one
+    else may write to, since the library built there is loaded as code."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        cache = (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "gazekit"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = cache.stat()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return None
+    return cache if info.st_uid == os.getuid() and not info.st_mode & 0o022 else None
+
+
+def _load_kernels() -> _Kernels | None:
+    """Build ``_kernels.c`` into the cache directory unless it is there, and
+    load it; None when there is no compiler, the cache directory cannot be
+    written, or the build or the load fails (warned on stderr)."""
+    import ctypes
+    import hashlib
+    import platform
+    import shutil
+    import subprocess
+    import tempfile
+
+    compiler = shutil.which(_COMPILER)
+    cache = None if compiler is None else _cache_dir()
+    if cache is None:
+        return None
+    key = hashlib.sha256(b"\0".join(
+        [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), platform.machine().encode()]
+    )).hexdigest()[:32]
+    target = cache / f"kernels-{key}.so"
+    if not target.exists():
+        try:
+            handle, partial = tempfile.mkstemp(prefix=".kernels-", suffix=".so", dir=cache)
+        except OSError:
+            return None
+        os.close(handle)
+        try:
+            build = subprocess.run(
+                [compiler, *_FLAGS, "-o", partial, str(_SOURCE)],
+                stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            )
+            if build.returncode != 0:
+                return _unavailable(f"{compiler} exited {build.returncode}: {build.stderr.strip()}")
+            # Renamed into place whole: no process loads a half-written file.
+            os.replace(partial, target)
+        except OSError as exc:
+            return _unavailable(f"cannot build: {exc}")
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    try:
+        return _Kernels(ctypes.CDLL(str(target)))
+    except (OSError, AttributeError) as exc:
+        return _unavailable(f"cannot load {target}: {exc}")
+
+
+def _unavailable(reason: str) -> None:
+    sys.stderr.write(f"gazekit: C kernels unavailable, using numpy ({reason})\n")
+    return None
+
+
+def _kernels() -> _Kernels | None:
+    """The kernel handle, resolved on the first call in a process."""
+    global _kernel
+    if _kernel is _UNRESOLVED:
+        _kernel = _load_kernels()
+    return _kernel
+
+
+# ---------------------------------------------------------------------------
 # Tree growth
 # ---------------------------------------------------------------------------
 
 def _dense_ranks(X):
-    """Per-feature dense ranks of ``X``: equal values share a rank.
+    """Per-feature dense ranks of ``X``, one row per feature: equal values
+    share a rank.
 
     NaN ranks ``n``, above every value, and no boundary is taken below it:
     it goes right of every threshold, as a ``<=`` test sends it. Ranked a
-    column at a time, so no (n, d) temporaries exist beside the result.
+    feature at a time, so no (n, d) temporaries exist beside the result,
+    and the ranks of one feature lie together for the split search.
     """
-    ranks = np.empty(X.shape, dtype=np.int32)
+    ranks = np.empty(X.shape[::-1], dtype=np.int32)
     for f in range(X.shape[1]):
-        ranks[:, f] = np.unique(X[:, f], return_inverse=True)[1]
-    ranks[np.isnan(X)] = X.shape[0]
+        ranks[f] = np.unique(X[:, f], return_inverse=True)[1]
+    ranks[np.isnan(X).T] = X.shape[0]
     return ranks
 
 
@@ -202,7 +396,8 @@ def _level_splits(counts, feats, rows, slot, data, weight, min_leaf):
 
     ``counts`` (m, C) are the candidates' weighted class counts, ``feats``
     (m, k) their drawn features in ascending order, and row ``rows[i]`` is
-    in candidate ``slot[i]``. One argsort orders the rows of every
+    in candidate ``slot[i]``; ``data`` is (X, y, _dense_ranks(X)) and
+    ``weight`` the rows' multiplicities. One argsort orders the rows of every
     (candidate, feature) pair by rank; running sums over each pair then give
     n_left, sum(left_counts^2) and sum(right_counts^2) at every boundary
     between two ranks. The quality sum(left_counts^2)/n_left +
@@ -218,7 +413,7 @@ def _level_splits(counts, feats, rows, slot, data, weight, min_leaf):
     n_classes = counts.shape[1]
     pair = (slot[:, None] * k + np.arange(k)).ravel()
     row = np.repeat(rows, k)
-    rank = ranks.ravel()[row * X.shape[1] + feats.ravel()[pair]]
+    rank = ranks.ravel()[feats.ravel()[pair] * X.shape[0] + row]
     n_ranks = X.shape[0] + 1  # NaN included
     order = np.argsort(pair * n_ranks + rank)
     pair, row, rank = pair[order], row[order], rank[order]
@@ -261,7 +456,13 @@ def _level_splits(counts, feats, rows, slot, data, weight, min_leaf):
     feature = feats[node, pair[at] % k]
     # Both rows hold numbers (NaN is never a boundary's upper side); equal
     # ranks mean equal values, and 0.0 and -0.0 give the same midpoint.
-    threshold = (X[row[at], feature] + X[row[at + 1], feature]) * 0.5
+    low, high = X[row[at], feature], X[row[at + 1], feature]
+    with np.errstate(over="ignore"):
+        threshold = (low + high) * 0.5
+    # Between adjacent doubles the midpoint can round up to the upper value,
+    # and near the float64 limits it overflows; the lower value then
+    # separates the two ranks as the split search counted them.
+    threshold = np.where((low <= threshold) & (threshold < high), threshold, low)
     return node, feature, threshold
 
 
@@ -272,6 +473,8 @@ def _grow_tree(data, weight, n_classes, cfg: ForestConfig, rng: np.random.Genera
     nodes are then laid out in preorder, as ForestNodes holds them.
     """
     X, y, _ = data
+    kernel = _kernels()
+    level_splits = _level_splits if kernel is None else kernel.level_splits
     d = X.shape[1]
     k = min(cfg.features_per_split or max(1, int(math.floor(math.sqrt(d)))), d)
     rows = np.flatnonzero(weight)
@@ -289,7 +492,7 @@ def _grow_tree(data, weight, n_classes, cfg: ForestConfig, rng: np.random.Genera
             feats = np.sort(np.argsort(rng.random((cand.size, d)), axis=1)[:, :k], axis=1)
             in_cand = candidate[node_of]
             slot = (np.cumsum(candidate) - 1)[node_of[in_cand]]
-            split, feature_at, threshold_at = _level_splits(
+            split, feature_at, threshold_at = level_splits(
                 counts[cand], feats, rows[in_cand], slot, data, weight, cfg.min_samples_leaf
             )
             feature[cand[split]] = feature_at
@@ -353,6 +556,7 @@ def _train_one(index: int):
 def _fit_trees(X, y, n_classes, cfg: ForestConfig):
     global _WORKER_STATE
     _WORKER_STATE = {"data": (X, y, _dense_ranks(X)), "n_classes": n_classes, "cfg": cfg}
+    _kernels()  # resolved once, before any worker forks
     workers = min(thread_count(), cfg.n_trees)
     try:
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -451,6 +655,17 @@ def predict_proba_batch(model: ForestModel, X) -> np.ndarray:
             f"query shape {X.shape} does not match feature_dim {model.feature_dim}"
         )
     nodes = model.packed()
+    if model._walkable is not nodes:
+        problem = node_problem(
+            nodes.roots, nodes.feature, nodes.threshold, nodes.right, nodes.leaf_counts,
+            model.feature_dim,
+        )
+        if problem is not None:
+            raise ValueError(f"malformed forest nodes: {problem}")
+        model._walkable = nodes
+    kernel = _kernels()
+    if kernel is not None:
+        return kernel.predict(nodes, X)
     step = max(1, _PAIR_BUDGET // nodes.n_trees)
     probs = np.empty((X.shape[0], nodes.fractions.shape[1]))
     for start in range(0, X.shape[0], step):

@@ -88,6 +88,7 @@ def test_criterion_01_morphology_matches_bruteforce_oracle():
     )
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_criterion_02_single_tree_matches_exhaustive_cart():
     rng = np.random.default_rng(202)
     t0 = time.perf_counter()
@@ -353,6 +354,7 @@ def test_criterion_08_attrition_ledger_shape():
     )
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_criterion_09_throughput_with_full_size_forest():
     train_frames = list(
         synth.population_frames(2, 120, seed=909, alphas=[0.3, 0.7])

@@ -459,12 +459,18 @@ def test_out_of_range_settings_exit_2_before_any_work(tmp_path, capsys, command,
     "key, value",
     [
         ("subjects", 0),
+        ("subjects", 1001),
+        ("subjects", 10**20),
         ("frames_per_region", 119),
+        ("frames_per_region", 10001),
         ("p_face_fail", 1.5),
         ("p_face_fail", -0.1),
         ("p_pupil_fail", -0.1),
         ("p_pupil_fail", 1.5),
         ("landmark_jitter", -1.0),
+        ("landmark_jitter", 20.5),
+        ("landmark_jitter", 1000.0),
+        ("landmark_jitter", 1e308),
         ("image_noise", -1.0),
         ("alphas", "0.5"),  # one gain for 40 subjects
         ("alphas", ",".join(["0.5"] * 39 + ["1.5"])),

@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gazekit
 from gazekit.cli import main
 from gazekit.core import DataFormatError, GrayImage, REGIONS
 from gazekit.dataio import (
@@ -24,6 +29,8 @@ from gazekit.dataio import (
 )
 from gazekit.forest import ForestConfig, ForestNodes, predict_proba_batch, train_arrays
 from gazekit.synth import SubjectProfile, iter_subject_frames
+
+SRC = str(Path(gazekit.__file__).resolve().parents[1])
 
 
 def test_pgm_round_trip(tmp_path):
@@ -168,6 +175,7 @@ def _trained_model(n_classes=6, seed=0, trees=9):
     return train_arrays(X, y, REGIONS[:n_classes], cfg), rng.normal(size=(15, 5))
 
 
+@pytest.mark.usefixtures("kernel")
 def test_model_round_trip(tmp_path):
     model, queries = _trained_model()
     path = tmp_path / "model.gzkf"
@@ -185,6 +193,7 @@ def test_model_round_trip(tmp_path):
     assert model_bytes(loaded) == model_bytes(model)
 
 
+@pytest.mark.usefixtures("kernel")
 def test_model_round_trip_generic_labels(tmp_path):
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 2))
@@ -221,18 +230,18 @@ def _model_with(model, name, index, value):
         return dataclasses.replace(model, nodes=ForestNodes(**arrays))
 
 
-@pytest.mark.parametrize(
-    "name, index, value, message",
-    [
-        ("feature", 0, 500, "split feature index 500"),
-        ("feature", 0, -2, "unknown node tag"),
-        ("threshold", 0, np.nan, "non-finite"),
-        ("threshold", 0, -np.inf, "non-finite"),
-        ("right", 0, 0, "right child"),  # not after its parent
-        ("right", 0, 10**6, "right child"),  # outside its tree
-        ("leaf_counts", 0, 0, "no class mass"),
-    ],
-)
+MALFORMED_NODES = [
+    ("feature", 0, 500, "split feature index 500"),
+    ("feature", 0, -2, "unknown node tag"),
+    ("threshold", 0, np.nan, "non-finite"),
+    ("threshold", 0, -np.inf, "non-finite"),
+    ("right", 0, 0, "right child"),  # not after its parent
+    ("right", 0, 10**6, "right child"),  # outside its tree
+    ("leaf_counts", 0, 0, "no class mass"),
+]
+
+
+@pytest.mark.parametrize("name, index, value, message", MALFORMED_NODES)
 def test_model_rejects_malformed_nodes(tmp_path, name, index, value, message):
     model, _ = _trained_model()
     assert model.nodes.feature[0] >= 0  # node 0 is a split
@@ -240,6 +249,61 @@ def test_model_rejects_malformed_nodes(tmp_path, name, index, value, message):
     path.write_bytes(model_bytes(_model_with(model, name, index, value)))
     with pytest.raises(DataFormatError, match=message):
         load_model(path)
+
+
+# Each malformed model, and a one-split forest whose right child of node 0
+# is node 0, goes through prediction on both kernel paths; the compiled walk
+# alone must also refuse the ones that would lead it out of its tree.
+_PREDICT_MALFORMED = """
+import json, sys
+import numpy as np
+from gazekit import forest
+from gazekit.core import REGIONS
+from gazekit.forest import ForestConfig, ForestModel, ForestNodes, TrainingDigest
+import test_dataio as t
+
+model, queries = t._trained_model()
+queries = np.vstack([queries, np.full(5, np.nan)])  # NaN goes right at every split
+cases = [t._model_with(model, name, index, value) for name, index, value, _ in t.MALFORMED_NODES]
+self_loop = ForestNodes(
+    roots=np.array([0]), feature=np.array([0, -1, -1], dtype=np.int32),
+    threshold=np.array([0.5, 0.0, 0.0]), right=np.array([0, -1, -1], dtype=np.int32),
+    leaf_counts=np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], dtype=np.uint32),
+)
+cases.append(ForestModel(ForestConfig(n_trees=1), self_loop, 5, REGIONS,
+                         TrainingDigest((1,) * 6, 0, 1.0)))
+compiled = forest._kernels()
+assert compiled is not None
+outcomes = {}
+for path, handle in (("c", compiled), ("numpy", None)):
+    forest._kernel = handle
+    for i, case in enumerate(cases):
+        try:
+            forest.predict_proba_batch(case, queries)
+            outcomes[f"{path} {i}"] = "returned"
+        except ValueError:
+            outcomes[f"{path} {i}"] = "raised"
+for i in (0, 1, 4, 5, 7):  # bad tags and right children
+    try:
+        compiled.predict(cases[i].nodes, queries)
+        outcomes[f"walk {i}"] = "returned"
+    except ValueError:
+        outcomes[f"walk {i}"] = "raised"
+print(json.dumps(outcomes))
+"""
+
+
+def test_malformed_nodes_raise_in_prediction_on_both_paths(compiled, tmp_path):
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tests_dir)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PREDICT_MALFORMED], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr  # neither a hang nor a signal
+    outcomes = json.loads(proc.stdout.splitlines()[-1])
+    assert len(outcomes) == 2 * (len(MALFORMED_NODES) + 1) + 5
+    assert set(outcomes.values()) == {"raised"}, outcomes
 
 
 @pytest.mark.parametrize("first_tree_delta", [1, -1])
@@ -307,6 +371,7 @@ def _mutate(raw: bytes, mutation) -> bytes:
     return bytes(out)
 
 
+@pytest.mark.usefixtures("kernel")
 @settings(max_examples=150, deadline=None)
 @given(_mutation)
 def test_mutated_model_bytes_load_cleanly_or_fail_as_data_errors(head_only_inputs, mutation):

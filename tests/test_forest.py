@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gazekit import forest
 from gazekit.core import REGIONS
-from gazekit.dataio import model_bytes
+from gazekit.dataio import load_model, model_bytes
 from gazekit.forest import (
     DimensionMismatch,
     EmptyClass,
@@ -25,6 +25,8 @@ from gazekit.forest import (
 )
 
 from oracles import cart_oracle, cart_oracle_predict, tree_predict_proba
+
+pytestmark = pytest.mark.usefixtures("kernel")  # every test on both kernel paths
 
 
 def _toy_classes(n_per=8, seed=0):
@@ -124,6 +126,27 @@ def test_infinite_training_features_are_refused():
     X[3, 0] = np.inf
     with pytest.raises(ValueError, match="infinite"):
         train_arrays(X, y, REGIONS, ForestConfig(n_trees=1))
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # midpoint rounds up
+        (-5e-324, -0.0),
+        (1.5e308, 1.7e308),  # the midpoint overflows
+        (-1.7e308, -1.5e308),
+    ],
+)
+def test_split_between_adjacent_or_huge_values_separates_them(tmp_path, low, high):
+    X = np.array([[low]] * 3 + [[high]] * 3)
+    y = np.array([0, 0, 0, 1, 1, 1])
+    model = train_arrays(X, y, ("a", "b"), ForestConfig(n_trees=1, bootstrap=False))
+    threshold = model.nodes.threshold[0]
+    assert model.nodes.feature[0] == 0 and low <= threshold < high
+    assert np.array_equal(predict_proba_batch(model, X), np.eye(2)[y])
+    path = tmp_path / "m.gzkf"
+    path.write_bytes(model_bytes(model))
+    assert model_bytes(load_model(path)) == model_bytes(model)
 
 
 def test_training_is_deterministic_and_byte_identical():

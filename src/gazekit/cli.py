@@ -76,6 +76,9 @@ def _parse_pupil_grid(raw: str) -> ParamGrid:
     thresholds = tuple(float(p) for p in parts[:3])
     openings = tuple(int(p) for p in parts[3:6])
     closings = tuple(int(p) for p in parts[6:9])
+    # The morphology costs O(window) per pixel; the default grid's widest window is 5.
+    if max(openings + closings) > 31:
+        raise ValueError("windows must be in [1, 31]")
     return ParamGrid(thresholds, openings, closings)
 
 
@@ -142,14 +145,14 @@ _SETTINGS = (
     _Setting("trees", _FOREST, int, 2000, interval="[1, inf)"),
     _Setting("depth", _FOREST, int, 25, interval="[1, inf)"),
     _Setting("min_leaf", _FOREST, int, 1, interval="[1, inf)"),
-    _Setting("min_frames", _FOREST, int, 120),
+    _Setting("min_frames", _FOREST, int, 120, interval="[0, inf)"),
     _Setting("repetitions", ("evaluate",), int, 100, interval="[1, inf)"),
-    _Setting("confidence_threshold", ("evaluate", "classify"), float, 10.0, interval="[1, inf]"),
+    _Setting("confidence_threshold", ("evaluate", "classify"), float, 10.0, interval="[1, inf)"),
     _Setting(
         "owl_thresholds", ("evaluate",), default="0.45,0.55", parse=_parse_owl_thresholds,
         help="low,high partition values",
     ),
-    _Setting("fps", ("evaluate",), float, 30.0, interval="(0, inf]"),
+    _Setting("fps", ("evaluate",), float, 30.0, interval="(0, inf)"),
     _Setting("plots", ("evaluate",), bool, False),
 )
 

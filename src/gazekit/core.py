@@ -105,10 +105,6 @@ class Landmarks:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    @property
-    def nose_tip(self) -> np.ndarray:
-        return self.points[NOSE_TIP_INDEX]
-
 
 @dataclass(frozen=True)
 class GrayImage:

@@ -60,6 +60,8 @@ __all__ = [
 
 MODEL_MAGIC = b"GZKF"
 MODEL_VERSION = 2
+# Caps the pupil search's memory per frame; synth's largest crop is 70x60.
+MAX_CROP_SIDE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,8 @@ def read_pgm(path) -> GrayImage:
     width, height, maxval = tokens
     if maxval != 255:
         raise DataFormatError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+    if max(width, height) > MAX_CROP_SIDE:
+        raise DataFormatError(f"{path}: crop larger than {MAX_CROP_SIDE} px on a side")
     pos += 1  # single whitespace byte after maxval
     pixels = data[pos : pos + width * height]
     if len(pixels) != width * height:

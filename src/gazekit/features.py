@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    NOSE_TIP_INDEX,
     NORMALIZING_SLICE,
     FrameRecord,
     GazekitError,
@@ -33,7 +32,6 @@ __all__ = [
     "MissingPupil",
     "feature_dim",
     "normalize_landmarks",
-    "nose_tip_normalized",
     "normalize_pupil",
     "build_feature",
 ]
@@ -112,11 +110,6 @@ def normalize_landmarks(landmarks: Landmarks) -> np.ndarray:
     if size[0] == 0.0 or size[1] == 0.0:
         raise DegenerateBox(f"eyes-and-nose box has zero extent: {size}")
     return ((pts - mins) / size).reshape(-1)
-
-
-def nose_tip_normalized(head_block: np.ndarray) -> np.ndarray:
-    """Extract the normalized nose-tip (x, y) from a 136-value head block."""
-    return np.asarray(head_block)[2 * NOSE_TIP_INDEX : 2 * NOSE_TIP_INDEX + 2]
 
 
 def normalize_pupil(pupil_center, eye_polygon) -> np.ndarray:

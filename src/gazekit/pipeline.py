@@ -241,14 +241,6 @@ class AttritionLedger:
         if outcome.accepted:
             self.confident_decisions += 1
 
-    def merge(self, other: "AttritionLedger") -> "AttritionLedger":
-        return AttritionLedger(
-            total_frames=self.total_frames + other.total_frames,
-            faces_detected=self.faces_detected + other.faces_detected,
-            pupils_detected=self.pupils_detected + other.pupils_detected,
-            confident_decisions=self.confident_decisions + other.confident_decisions,
-        )
-
 
 def decision_rates(ledger: AttritionLedger, fps: float) -> tuple[float, float]:
     """Confident decision rates in Hz.

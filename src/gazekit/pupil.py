@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .core import GazekitError, GrayImage
 
@@ -198,27 +197,34 @@ def binarize(image: np.ndarray, threshold: float) -> np.ndarray:
     return (np.asarray(image) < threshold).astype(np.uint8)
 
 
-def _check_window(window: int):
+def _window_extreme(image: np.ndarray, window: int, reduce) -> np.ndarray:
+    """``np.minimum`` or ``np.maximum`` over a square window, out-of-bounds pixels
+    as background: the window's shifted views of a zero-padded copy, folded in
+    place by rows, then by columns. A radius past the image is clamped (same result)."""
     if window < 1 or window % 2 == 0:
         raise ValueError("structuring element side must be an odd integer >= 1")
+    img = np.asarray(image, dtype=np.uint8)
+    height, width = img.shape
+    radius = min(window // 2, max(height, width))
+    padded = np.zeros((height + 2 * radius, width + 2 * radius), dtype=np.uint8)
+    padded[radius : radius + height, radius : radius + width] = img
+    rows = padded[:height].copy()
+    for shift in range(1, 2 * radius + 1):
+        reduce(rows, padded[shift : shift + height], out=rows)
+    out = rows[:, :width].copy()
+    for shift in range(1, 2 * radius + 1):
+        reduce(out, rows[:, shift : shift + width], out=out)
+    return out
 
 
 def erode(image: np.ndarray, window: int) -> np.ndarray:
     """Min over a square window; out-of-bounds neighbors count as background."""
-    _check_window(window)
-    img = np.asarray(image, dtype=np.uint8)
-    if window == 1:
-        return img.copy()
-    return ndimage.minimum_filter(img, size=window, mode="constant", cval=0)
+    return _window_extreme(image, window, np.minimum)
 
 
 def dilate(image: np.ndarray, window: int) -> np.ndarray:
     """Max over a square window; out-of-bounds neighbors count as background."""
-    _check_window(window)
-    img = np.asarray(image, dtype=np.uint8)
-    if window == 1:
-        return img.copy()
-    return ndimage.maximum_filter(img, size=window, mode="constant", cval=0)
+    return _window_extreme(image, window, np.maximum)
 
 
 def morph_open(image: np.ndarray, window: int) -> np.ndarray:
@@ -231,7 +237,30 @@ def morph_close(image: np.ndarray, window: int) -> np.ndarray:
     return erode(dilate(image, window), window)
 
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+def _component_roots(foreground: np.ndarray, stride: int) -> np.ndarray:
+    """Each pixel's 8-connected component as the flat index of its root.
+
+    ``foreground`` is a flattened image whose rows are ``stride`` pixels long
+    and end in a background pixel, so no flat neighbor offset wraps a row.
+    Hook and shortcut (Shiloach & Vishkin, 1982): every root joined by an edge
+    to a smaller root hooks to the least such root, then every pixel points at
+    its root, until no edge joins two roots. A root only ever hooks to a
+    smaller index, so each component's root is its first pixel in raster order.
+    """
+    steps = (1, stride - 1, stride, stride + 1)  # right, down-left, down, down-right
+    low = [(foreground[:-step] & foreground[step:]).nonzero()[0] for step in steps]
+    high = np.concatenate([tails + step for tails, step in zip(low, steps)])
+    low = np.concatenate(low)
+    root = np.arange(foreground.size)
+    while low.size:
+        np.minimum.at(root, high, low)
+        hop = root[root]
+        while (hop != root).any():
+            root, hop = hop, hop[hop]
+        low, high = root[low], root[high]
+        apart = low != high
+        low, high = np.minimum(low[apart], high[apart]), np.maximum(low[apart], high[apart])
+    return root
 
 
 def largest_circular_blob(image: np.ndarray) -> BlobStats | None:
@@ -243,40 +272,33 @@ def largest_circular_blob(image: np.ndarray) -> BlobStats | None:
     toward the component whose first pixel comes earliest in raster order.
     """
     img = np.asarray(image)
-    labels, count = ndimage.label(img, structure=_EIGHT_CONNECTED)
-    if count == 0:
+    height, width = img.shape
+    foreground = np.zeros((height, width + 1), dtype=bool)
+    foreground[:, :width] = img != 0
+    foreground = foreground.ravel()
+    pixels = foreground.nonzero()[0]
+    if pixels.size < MIN_BLOB_AREA:
         return None
-    areas = np.bincount(labels.ravel())[1:]
-    slices = ndimage.find_objects(labels)
-    candidates = []
-    for label_id, (sl, area) in enumerate(zip(slices, areas), start=1):
-        h = sl[0].stop - sl[0].start
-        w = sl[1].stop - sl[1].start
-        if min(w, h) / max(w, h) < MIN_ASPECT:
-            continue
-        candidates.append((int(area), label_id, sl, w, h))
-    if not candidates:
+    roots = _component_roots(foreground, width + 1)[pixels]
+    # A stable sort keeps each component's pixels in raster order and puts the
+    # components in the order of their roots, i.e. of their first pixels.
+    order = np.argsort(roots, kind="stable")
+    roots, pixels = roots[order], pixels[order]
+    starts = (pixels == roots).nonzero()[0]
+    rows, cols = np.divmod(pixels, width + 1)
+    areas = np.append(starts[1:], pixels.size) - starts
+    heights = np.maximum.reduceat(rows, starts) - rows[starts] + 1
+    lefts = np.minimum.reduceat(cols, starts)
+    widths = np.maximum.reduceat(cols, starts) - lefts + 1
+    circular = np.minimum(widths, heights) / np.maximum(widths, heights) >= MIN_ASPECT
+    best = int(np.argmax(np.where(circular, areas, 0)))  # the first of equal areas
+    if not circular[best] or areas[best] < MIN_BLOB_AREA:
         return None
-    best_area = max(area for area, *_ in candidates)
-    if best_area < MIN_BLOB_AREA:
-        return None
-    tied = [c for c in candidates if c[0] == best_area]
-    if len(tied) > 1:
-        width = img.shape[1]
-
-        def first_pixel(entry):
-            _, label_id, sl, _, _ = entry
-            rows, cols = np.nonzero(labels[sl] == label_id)
-            rows = rows + sl[0].start
-            cols = cols + sl[1].start
-            return int((rows * width + cols).min())
-
-        tied.sort(key=first_pixel)
-    area, label_id, sl, w, h = tied[0]
-    rows, cols = np.nonzero(labels[sl] == label_id)
-    cy = float(rows.mean() + sl[0].start)
-    cx = float(cols.mean() + sl[1].start)
-    return BlobStats(area=area, bbox=(w, h), centroid=(cx, cy))
+    blob = slice(starts[best], starts[best] + areas[best])
+    top, left = rows[starts[best]], lefts[best]
+    cy = float((rows[blob] - top).mean() + top)
+    cx = float((cols[blob] - left).mean() + left)
+    return BlobStats(int(areas[best]), (int(widths[best]), int(heights[best])), (cx, cy))
 
 
 def detect_pupil(

@@ -9,6 +9,7 @@ The production code must agree with these, not the other way around.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,32 @@ def percentile_oracle(values, pct: float) -> float:
     return ordered[max(int(rank), 1) - 1]
 
 
+def average_ranks(values) -> list[float]:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    values = [float(v) for v in values]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        stop = start + 1
+        while stop < len(order) and values[order[stop]] == values[order[start]]:
+            stop += 1
+        for position in range(start, stop):
+            ranks[order[position]] = (start + 1 + stop) / 2
+        start = stop
+    return ranks
+
+
+def spearman_rho(x, y) -> float:
+    """Spearman's rank correlation: Pearson's r of the average ranks."""
+    rx, ry = average_ranks(x), average_ranks(y)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    var_x = sum((a - mx) ** 2 for a in rx)
+    var_y = sum((b - my) ** 2 for b in ry)
+    return cov / math.sqrt(var_x * var_y)
+
+
 def normalize_pupil_oracle(pupil, polygon):
     """Eye-frame pupil coordinates via axis projections instead of a matrix."""
     poly = np.asarray(polygon, dtype=np.float64)
@@ -153,7 +180,9 @@ def cart_oracle(X, y, n_classes: int, max_depth: int, min_samples_leaf: int = 1)
     (equivalent to minimizing weighted Gini), computed with Fractions so ties
     are exact; ties break toward the lowest feature index, then the lowest
     threshold. Thresholds are float midpoints of consecutive sorted unique
-    values, matching the production arithmetic bit for bit.
+    values, or the lower value where the midpoint is not in [lower, upper)
+    (it rounds up between adjacent doubles and overflows near the float64
+    limits), matching the production arithmetic bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -169,6 +198,8 @@ def cart_oracle(X, y, n_classes: int, max_depth: int, min_samples_leaf: int = 1)
             unique = sorted(set(X[indices, feature].tolist()))
             for lo, hi in zip(unique, unique[1:]):
                 threshold = (lo + hi) * 0.5
+                if not lo <= threshold < hi:
+                    threshold = lo
                 left = indices[X[indices, feature] <= threshold]
                 right = indices[X[indices, feature] > threshold]
                 if len(left) < min_samples_leaf or len(right) < min_samples_leaf:

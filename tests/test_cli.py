@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gazekit
 from gazekit.cli import _SETTINGS, CLASSIFY_BATCH, _decision_obj, main
 from gazekit.core import REGIONS
 from gazekit.dataio import iter_dataset, load_manifest, load_model, save_model
@@ -12,6 +17,26 @@ from gazekit.features import FeatureMode, build_feature
 from gazekit.forest import ForestConfig, train_arrays
 from gazekit.pipeline import PipelineConfig, classify_frame
 from gazekit.pupil import DEFAULT_GRID
+
+SRC = str(Path(gazekit.__file__).resolve().parents[1])
+
+
+def test_cli_import_loads_no_package_but_numpy():
+    code = (
+        "import sys, numpy\n"
+        "from importlib.metadata import packages_distributions\n"
+        "before = set(sys.modules)\n"
+        "import gazekit.cli\n"
+        "installed = packages_distributions()\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted({d for name in loaded - {'gazekit'} for d in installed.get(name, [])}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +177,7 @@ def test_classify_stream(dataset, tmp_path, capsys):
         assert line["confidence"] is None or line["confidence"] > 1.0
 
 
-def test_classify_handles_corrupt_lines_and_infinite_threshold(dataset, tmp_path, capsys):
+def test_classify_handles_corrupt_lines(dataset, tmp_path, capsys):
     code, model_path, _ = _train(dataset, tmp_path, "head-eye", capsys)
     jsonl = dataset / "frames.jsonl"
     corrupt = tmp_path / "corrupt"
@@ -169,7 +194,6 @@ def test_classify_handles_corrupt_lines_and_infinite_threshold(dataset, tmp_path
             "--model", str(model_path),
             "--data", str(corrupt),
             "--out", str(decisions),
-            "--confidence-threshold", "inf",
         ]
     )
     assert code == 0
@@ -177,8 +201,7 @@ def test_classify_handles_corrupt_lines_and_infinite_threshold(dataset, tmp_path
     out_lines = [json.loads(l) for l in decisions.read_text().splitlines()]
     assert len(out_lines) == 20
     assert out_lines[4]["status"] == "no_face"
-    assert summary["confident_decisions"] == 0  # nothing exceeds +inf
-    assert all(l["status"] != "accepted" for l in out_lines)
+    assert summary["total_frames"] == 20 and summary["faces_detected"] == 19
 
 
 def test_classify_writes_pupil_failed_for_coincident_eye_corners(dataset, tmp_path, capsys):
@@ -298,6 +321,20 @@ def test_evaluate_reports(dataset, tmp_path, capsys):
     assert config["seed"] == 3 and config["command"] == "evaluate"
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["modes"]) == {"head-only", "head-eye"}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_evaluate_writes_only_strict_json(dataset, tmp_path, capsys):
+    out_dir = tmp_path / "strict"
+    assert _evaluate(dataset, out_dir) == 0
+    capsys.readouterr()
+    written = sorted(out_dir.rglob("*.json"))
+    assert {p.name for p in written} >= {"ledger.json", "resolved_config.json", "status.json"}
+    for path in written:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def test_evaluate_threshold_one_accepts_nearly_everything(dataset, tmp_path, capsys):
@@ -424,8 +461,13 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
         ("evaluate", "repetitions", 0),
         ("evaluate", "confidence_threshold", 0.5),
         ("evaluate", "fps", 0.0),
+        ("evaluate", "fps", float("inf")),
+        ("evaluate", "confidence_threshold", float("inf")),
+        ("train", "min_frames", -5),
+        ("evaluate", "min_frames", -5),
         ("classify", "confidence_threshold", 0.5),
         ("classify", "confidence_threshold", float("nan")),
+        ("classify", "confidence_threshold", float("inf")),
         *(
             (command, "pupil_grid", grid)
             for command in ("train", "evaluate", "classify")
@@ -434,6 +476,7 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
                 "0.03,0.05,low,1,3,5,1,3,5",
                 "0.03,0.05,0.1,1,3,5,1,4,5",  # an even window
                 "0.05,0.03,0.1,1,3,5,1,3,5",  # unsorted
+                "0.03,0.05,0.1,1,3,5,1,3,33",  # a window past 31
             )
         ),
     ],

@@ -144,12 +144,14 @@ def test_hostile_frame_fields_become_no_face_lines(tmp_path):
     crop = "crops/subj/000000.pgm"
     outside = tmp_path / "outside.pgm"  # readable, but not in the dataset directory
     outside.write_bytes((out / crop).read_bytes())
+    (out / "crops" / "wide.pgm").write_bytes(b"P5\n257 10\n255\n" + bytes(2570))
     hostile = [
         ("frame_index", True),
         ("label", ["road"]),
         ("eye_crop", str(outside)),
         ("eye_crop", "crops/../../outside.pgm"),
         ("eye_crop", 7),
+        ("eye_crop", "crops/wide.pgm"),
     ]
     obj = frame_to_obj(frames[0].record, crop)
     for key, value in hostile:
@@ -165,6 +167,7 @@ def test_hostile_frame_fields_become_no_face_lines(tmp_path):
     dropped = [line.record is None for line in parsed]
     assert dropped == [i < len(hostile) for i in range(len(frames))]
     assert all(line.error for line in parsed[: len(hostile)])
+    assert "larger than 256 px" in parsed[len(hostile) - 1].error
 
 
 def _trained_model(n_classes=6, seed=0, trees=9):

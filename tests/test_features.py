@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gazekit.analysis import nose_block
 from gazekit.core import GazeRegion, GrayImage, Landmarks, FrameRecord
 from gazekit.features import (
     DegenerateBox,
@@ -14,7 +15,6 @@ from gazekit.features import (
     feature_dim,
     normalize_landmarks,
     normalize_pupil,
-    nose_tip_normalized,
 )
 from gazekit.pupil import PupilParams, PupilResult, PupilStatus
 from gazekit.synth import FACE_TEMPLATE
@@ -80,7 +80,7 @@ def test_normalize_degenerate_box():
 
 def test_nose_tip_normalized_slices_index_30():
     out = normalize_landmarks(Landmarks(FACE_TEMPLATE))
-    assert np.array_equal(nose_tip_normalized(out), out.reshape(68, 2)[30])
+    assert np.array_equal(nose_block(out[None])[0], out.reshape(68, 2)[30])
 
 
 def test_normalize_pupil_symmetric_center():

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazekit import forest
@@ -95,6 +95,11 @@ def _tie_heavy_problem(draw):
     return X, y, n_classes
 
 
+def _split_problem(low, high):
+    """Three rows at ``low`` of class 0, three at ``high`` of class 1."""
+    return np.array([[low]] * 3 + [[high]] * 3), np.array([0, 0, 0, 1, 1, 1]), 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _tie_heavy_problem(),
@@ -103,6 +108,12 @@ def _tie_heavy_problem(draw):
     st.booleans(),
     st.integers(0, 2**31 - 1),
 )
+@example(  # the midpoint of two adjacent doubles rounds up to the upper one
+    _split_problem(np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),
+    1, 1, False, 0,
+)
+@example(_split_problem(1.5e308, 1.7e308), 1, 1, False, 0)  # the midpoint overflows
+@example(_split_problem(-1.7e308, -1.5e308), 1, 1, False, 0)
 def test_level_wise_trees_equal_the_exhaustive_oracle(problem, max_depth, min_leaf, bootstrap, seed):
     """Unbagged trees equal the oracle on the data; bagged trees equal it on
     their own bootstrap sample, which the grower weighs instead of copying."""

@@ -160,7 +160,7 @@ def test_threshold_monotonicity_of_acceptance():
     assert accepted == [True, True, True, False, False]
 
 
-def test_ledger_observe_and_merge():
+def test_ledger_observe():
     ledger = AttritionLedger()
     model_hi = _leaf_model([55, 1, 1, 1, 1, 1])
     cfg = PipelineConfig(confidence_threshold=10.0)
@@ -173,8 +173,6 @@ def test_ledger_observe_and_merge():
         ledger.pupils_detected,
         ledger.confident_decisions,
     ) == (3, 2, 1, 1)
-    merged = ledger.merge(ledger)
-    assert merged.total_frames == 6 and merged.confident_decisions == 2
     ledger.validate()
 
 

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazekit.pupil import (
@@ -167,6 +169,97 @@ def test_blob_matches_floodfill_oracle():
         assert got.area == area
         assert got.bbox == bbox
         assert got.centroid == pytest.approx(centroid)
+
+
+def _assert_blob_matches_oracle(img):
+    expected = largest_circular_blob_oracle(img)
+    got = largest_circular_blob(img)
+    if expected is None:
+        assert got is None
+        return
+    area, bbox, centroid = expected
+    assert (got.area, got.bbox) == (area, bbox)
+    # equal-area components sit in different places, so this checks the tie-break
+    assert got.centroid == pytest.approx(centroid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.floats(0.05, 0.9), st.integers(0, 2**32 - 1)
+)
+def test_labeller_and_morphology_match_the_oracles(height, width, density, seed):
+    img = (np.random.default_rng(seed).random((height, width)) < density).astype(np.uint8)
+    _assert_blob_matches_oracle(img)
+    for window in (1, 3, 5, 7):
+        assert np.array_equal(erode(img, window), erode_oracle(img, window))
+        assert np.array_equal(dilate(img, window), dilate_oracle(img, window))
+    small = img[:9, :9]
+    past = 2 * max(small.shape) + 3  # wider than the image on both sides
+    assert np.array_equal(erode(small, past), erode_oracle(small, past))
+    assert np.array_equal(dilate(small, past), dilate_oracle(small, past))
+
+
+def _maze(rng, height, width):
+    """Corridors of a random depth-first maze on the even cells, with a few
+    pixels knocked out so that it falls into several components."""
+    img = np.zeros((height, width), dtype=np.uint8)
+    img[0, 0] = 1
+    stack = [(0, 0)]
+    while stack:
+        r, c = stack[-1]
+        steps = [(dr, dc) for dr, dc in ((0, 2), (2, 0), (0, -2), (-2, 0))
+                 if 0 <= r + dr < height and 0 <= c + dc < width and not img[r + dr, c + dc]]
+        if not steps:
+            stack.pop()
+            continue
+        dr, dc = steps[rng.integers(len(steps))]
+        img[r + dr // 2, c + dc // 2] = img[r + dr, c + dc] = 1
+        stack.append((r + dr, c + dc))
+    img[rng.random((height, width)) < 0.02] = 0
+    return img
+
+
+def _serpentine(height, width, gap):
+    """One path sweeping the rows left to right, then right to left, and so on."""
+    img = np.zeros((height, width), dtype=np.uint8)
+    img[::gap] = 1
+    for turn, r in enumerate(range(0, height - gap, gap)):
+        img[r : r + gap, width - 1 if turn % 2 == 0 else 0] = 1
+    return img
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["maze", "serpentine", "serpentine_t"]),
+    st.integers(2, 255), st.integers(2, 255), st.integers(2, 4), st.integers(0, 2**32 - 1),
+)
+@example("maze", 255, 255, 2, 0)
+@example("serpentine", 255, 255, 2, 0)
+@example("serpentine_t", 255, 255, 3, 0)
+def test_labeller_matches_the_oracle_on_mazes_and_serpentines(kind, height, width, gap, seed):
+    if kind == "maze":
+        img = _maze(np.random.default_rng(seed), height, width)
+    else:
+        img = _serpentine(height, width, gap)
+        if kind == "serpentine_t":
+            img = np.ascontiguousarray(img.T)
+    _assert_blob_matches_oracle(img)
+
+
+def test_detect_pupil_memory_is_bounded_on_the_largest_crop():
+    side = 256  # the largest crop a dataset may hold
+    poly = np.array([[0, 128], [64, 0], [192, 0], [255, 128], [192, 255], [64, 255]], dtype=float)
+    rng = np.random.default_rng(8)
+    dark = polygon_mask(side, side, poly) & (rng.random((side, side)) < 0.9)
+    crop = np.where(dark, 10, 200).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        result = detect_pupil(crop, poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status is PupilStatus.DETECTED
+    assert peak < 32 * 2**20
 
 
 def _disk_crop(center=(20.0, 12.0), radius=5.0, noise=5.0, seed=3):

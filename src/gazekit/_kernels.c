@@ -20,14 +20,15 @@
  * Trees are walked one at a time over every row, so a tree's nodes stay in
  * cache, and each row adds its leaf fractions in tree-index order before the
  * division by the tree count, as ``fractions[leaves].mean(axis=1)`` does.
- * ``out`` (n_rows x n_classes) must be zero on entry. Returns 0, or -1 when a
- * node names a feature outside ``dim`` or a next node that is not after it
- * in its own tree; a walk never reads outside the arrays.
+ * A split's right child is ``right`` (within the tree) nodes after the tree's
+ * root. ``out`` (n_rows x n_classes) must be zero on entry. Returns 0, or -1
+ * when a node names a feature outside ``dim`` or a next node that is not
+ * after it in its own tree; a walk never reads outside the arrays.
  */
 int gzk_predict(int64_t n_rows, int64_t dim, const double *X,
                 int64_t n_trees, const int64_t *roots, int64_t n_nodes,
                 const int32_t *feature, const double *threshold,
-                const int64_t *right_node, int64_t n_classes,
+                const int32_t *right, int64_t n_classes,
                 const double *fractions, double *out)
 {
     for (int64_t t = 0; t < n_trees; t++) {
@@ -42,7 +43,7 @@ int gzk_predict(int64_t n_rows, int64_t dim, const double *X,
             while ((f = feature[node]) != LEAF) {
                 if (f < 0 || f >= dim)
                     return -1;
-                int64_t next = x[f] <= threshold[node] ? node + 1 : right_node[node];
+                int64_t next = x[f] <= threshold[node] ? node + 1 : root + right[node];
                 if (next <= node || next >= end)
                     return -1;
                 node = next;

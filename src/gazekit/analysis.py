@@ -442,17 +442,16 @@ def evaluate_user(
             model = train_arrays(
                 pool[mode][0][train_sel], pool_labels[train_sel], REGIONS, forest_cfg
             )
-            probs = predict_proba_batch(model, held[mode][0][test_sel])
+            probs = predict_proba_batch(model, held[mode][0])  # each held-out frame once
             predicted, _, keep = decide(probs, cfg.confidence_threshold)
+            if rep == 0 and mode is primary:
+                unbalanced_accepted = int(keep.sum())
+            predicted, keep = predicted[test_sel], keep[test_sel]
             evaluated[mode][rep] = truth.size
             accepted[mode][rep] = int(keep.sum())
             if keep.any():
                 accuracies[mode][rep] = float((predicted[keep] == truth[keep]).mean())
                 confusions[mode].add(truth[keep], predicted[keep])
-            if rep == 0 and mode is primary and held_labels.size:
-                plain = predict_proba_batch(model, held[mode][0])
-                _, _, plain_keep = decide(plain, cfg.confidence_threshold)
-                unbalanced_accepted = int(plain_keep.sum())
 
     stats = {
         mode: ModeStats(

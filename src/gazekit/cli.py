@@ -152,7 +152,7 @@ _SETTINGS = (
         "owl_thresholds", ("evaluate",), default="0.45,0.55", parse=_parse_owl_thresholds,
         help="low,high partition values",
     ),
-    _Setting("fps", ("evaluate",), float, 30.0, interval="(0, inf)"),
+    _Setting("fps", ("evaluate",), float, 30.0, interval="(0, 1000]"),
     _Setting("plots", ("evaluate",), bool, False),
 )
 

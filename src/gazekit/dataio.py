@@ -40,7 +40,7 @@ from .core import (
     Landmarks,
     region_from_name,
 )
-from .forest import LEAF, ForestConfig, ForestModel, ForestNodes, TrainingDigest, node_problem
+from .forest import LEAF, ForestConfig, ForestModel, ForestNodes, TrainingDigest
 
 __all__ = [
     "write_pgm",
@@ -161,7 +161,7 @@ def parse_frame_obj(obj: dict, base_dir: Path) -> FrameRecord:
     try:
         points = np.array(landmarks_flat, dtype=np.float64).reshape(68, 2)
         polygon = np.array(polygon_flat, dtype=np.float64).reshape(6, 2)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: ints past float64
         raise DataFormatError(f"non-numeric landmark data: {exc}") from None
     crop = read_pgm(base_dir / _relative_crop_path(crop_rel))
     return FrameRecord(
@@ -306,7 +306,7 @@ def model_bytes(model: ForestModel) -> bytes:
             cfg.rng_seed & ((1 << 64) - 1),
             1 if cfg.bootstrap else 0,
             model.feature_dim,
-            model.n_classes,
+            len(model.class_order),
             digest.rng_seed & ((1 << 64) - 1),
             digest.bootstrap_coverage,
         ),
@@ -316,7 +316,7 @@ def model_bytes(model: ForestModel) -> bytes:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
-    parts.append(struct.pack(f"<{model.n_classes}Q", *digest.class_counts))
+    parts.append(struct.pack(f"<{len(model.class_order)}Q", *digest.class_counts))
     parts += [
         nodes.tree_sizes.astype("<u4").tobytes(),
         nodes.feature.astype("<i4").tobytes(),
@@ -394,9 +394,6 @@ def _parse_model(path, data: bytes) -> ForestModel:
     threshold[is_split] = split_threshold
     right = np.full(n_nodes, -1, dtype=np.int32)
     right[is_split] = split_right  # u32 above 2^31 - 1 wraps negative and fails the check
-    problem = node_problem(roots, feature, threshold, right, leaf_counts, feature_dim)
-    if problem is not None:
-        raise DataFormatError(f"{path}: {problem}")
     try:
         class_order: tuple = tuple(region_from_name(name) for name in names)
     except DataFormatError:
@@ -414,7 +411,8 @@ def _parse_model(path, data: bytes) -> ForestModel:
         rng_seed=digest_seed,
         bootstrap_coverage=float(coverage),
     )
-    model = ForestModel(
+    # ForestModel refuses nodes that fail node_problem with a ValueError.
+    return ForestModel(
         config=cfg,
         nodes=ForestNodes(
             roots, feature.astype(np.int32, copy=False), threshold, right, leaf_counts
@@ -423,5 +421,3 @@ def _parse_model(path, data: bytes) -> ForestModel:
         class_order=class_order,
         training_digest=digest,
     )
-    model._walkable = model.nodes  # node_problem passed above; prediction need not repeat it
-    return model

@@ -46,7 +46,7 @@ class FeatureMode(Enum):
 
 
 class DegenerateBox(GazekitError):
-    """The eyes-and-nose bounding box has zero width or height."""
+    """The eyes-and-nose bounding box is too small (zero or subnormal) to normalize by."""
 
 
 class DegenerateEye(GazekitError):
@@ -107,9 +107,11 @@ def normalize_landmarks(landmarks: Landmarks) -> np.ndarray:
     box = pts[NORMALIZING_SLICE]
     mins = box.min(axis=0)
     size = box.max(axis=0) - mins
-    if size[0] == 0.0 or size[1] == 0.0:
-        raise DegenerateBox(f"eyes-and-nose box has zero extent: {size}")
-    return ((pts - mins) / size).reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        head = ((pts - mins) / size).reshape(-1)
+    if not np.isfinite(head).all():  # a zero or subnormal extent
+        raise DegenerateBox(f"eyes-and-nose box too small to normalize: {size}")
+    return head
 
 
 def normalize_pupil(pupil_center, eye_polygon) -> np.ndarray:

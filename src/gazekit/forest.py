@@ -108,8 +108,7 @@ class ForestNodes:
     A split at node ``i`` sends ``x[feature[i]] <= threshold[i]`` to its left
     child ``i + 1`` and everything else, NaN included, to its right child,
     ``right[i]`` nodes after the tree's first node. Leaves carry the class
-    counts of the training samples that reached them. ``fractions`` and
-    ``right_node`` are derived, for prediction.
+    counts of the training samples that reached them.
     """
 
     roots: np.ndarray        # (n_trees,) first node of each tree
@@ -117,20 +116,9 @@ class ForestNodes:
     threshold: np.ndarray    # (n_nodes,) float64, 0 at leaves
     right: np.ndarray        # (n_nodes,) int32, within the tree; -1 at leaves
     leaf_counts: np.ndarray  # (n_leaves, n_classes) uint32, leaves in node order
-    fractions: np.ndarray = field(init=False, repr=False)   # (n_nodes, n_classes)
-    right_node: np.ndarray = field(init=False, repr=False)  # (n_nodes,) right child
 
     def __post_init__(self):
-        roots = np.asarray(self.roots, dtype=np.intp)
-        object.__setattr__(self, "roots", roots)
-        is_leaf = self.feature == LEAF
-        counts = self.leaf_counts
-        fractions = np.zeros((self.feature.size, counts.shape[1]))
-        fractions[is_leaf] = counts / counts.sum(axis=1, keepdims=True)
-        object.__setattr__(self, "fractions", fractions)
-        tree_root = np.repeat(roots, self.tree_sizes)
-        right_node = np.where(is_leaf, -1, tree_root + self.right)
-        object.__setattr__(self, "right_node", right_node)
+        object.__setattr__(self, "roots", np.asarray(self.roots, dtype=np.intp))
 
     @property
     def n_trees(self) -> int:
@@ -150,19 +138,33 @@ class TrainingDigest:
     bootstrap_coverage: float  # fraction of samples seen by >= 1 bootstrap
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForestModel:
+    """A forest that can be walked: the constructor refuses node arrays that
+    fail ``node_problem`` with a ValueError that names the fault."""
+
     config: ForestConfig
     nodes: ForestNodes
     feature_dim: int
     class_order: tuple
     training_digest: TrainingDigest
-    # The node arrays that passed ``node_problem``, checked before their first walk.
-    _walkable: ForestNodes | None = field(default=None, init=False, repr=False, compare=False)
+    # (n_nodes, n_classes) class fractions of each leaf, 0 at splits; derived.
+    fractions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.nodes.n_trees != self.config.n_trees:
+        nodes = self.nodes
+        if nodes.n_trees != self.config.n_trees:
             raise ValueError("tree count must match config.n_trees")
+        problem = node_problem(
+            nodes.roots, nodes.feature, nodes.threshold, nodes.right, nodes.leaf_counts,
+            self.feature_dim,
+        )
+        if problem is not None:
+            raise ValueError(problem)
+        counts = nodes.leaf_counts
+        fractions = np.zeros((nodes.feature.size, counts.shape[1]))
+        fractions[nodes.feature == LEAF] = counts / counts.sum(axis=1, keepdims=True)
+        object.__setattr__(self, "fractions", fractions)
 
     @property
     def n_classes(self) -> int:
@@ -251,18 +253,17 @@ class _Kernels:
         )
         self._level_splits.restype = i64
 
-    def predict(self, nodes: ForestNodes, X: np.ndarray) -> np.ndarray:
+    def predict(self, nodes: ForestNodes, fractions: np.ndarray, X: np.ndarray) -> np.ndarray:
         """``fractions[_leaf_nodes(nodes, X)].mean(axis=1)``."""
         X, roots = _carray(X, np.float64), _carray(nodes.roots, np.int64)
         feature, threshold = _carray(nodes.feature, np.int32), _carray(nodes.threshold, np.float64)
-        right_node = _carray(nodes.right_node, np.int64)
-        fractions = _carray(nodes.fractions, np.float64)
-        if not threshold.shape == right_node.shape == fractions.shape[:1] == feature.shape:
+        right, fractions = _carray(nodes.right, np.int32), _carray(fractions, np.float64)
+        if not threshold.shape == right.shape == fractions.shape[:1] == feature.shape:
             raise ValueError("node arrays of different lengths")
         probs = np.zeros((X.shape[0], fractions.shape[1]))
         status = self._predict(
             X.shape[0], X.shape[1], X.ctypes.data, roots.size, roots.ctypes.data,
-            feature.size, feature.ctypes.data, threshold.ctypes.data, right_node.ctypes.data,
+            feature.size, feature.ctypes.data, threshold.ctypes.data, right.ctypes.data,
             fractions.shape[1], fractions.ctypes.data, probs.ctypes.data,
         )
         if status:
@@ -629,7 +630,7 @@ def _leaf_nodes(nodes: ForestNodes, X: np.ndarray) -> np.ndarray:
     """
     n_rows, dim = X.shape
     flat = X.ravel()
-    node = np.repeat(nodes.roots, n_rows)  # pair p: tree p // n_rows, row p % n_rows
+    node = root = np.repeat(nodes.roots, n_rows)  # pair p: tree p // n_rows, row p % n_rows
     row_start = np.tile(np.arange(0, n_rows * dim, dim), nodes.n_trees)
     pair = np.arange(node.size)
     leaf = np.empty(node.size, dtype=np.intp)
@@ -639,11 +640,11 @@ def _leaf_nodes(nodes: ForestNodes, X: np.ndarray) -> np.ndarray:
         if done.any():
             leaf[pair[done]] = node[done]
             walking = ~done
-            node, feat, row_start, pair = (
-                node[walking], feat[walking], row_start[walking], pair[walking]
+            node, root, feat, row_start, pair = (
+                node[walking], root[walking], feat[walking], row_start[walking], pair[walking]
             )
         go_left = flat[row_start + feat] <= nodes.threshold[node]
-        node = np.where(go_left, node + 1, nodes.right_node[node])
+        node = np.where(go_left, node + 1, root + nodes.right[node])
     return np.ascontiguousarray(leaf.reshape(nodes.n_trees, n_rows).T)
 
 
@@ -654,23 +655,15 @@ def predict_proba_batch(model: ForestModel, X) -> np.ndarray:
         raise DimensionMismatch(
             f"query shape {X.shape} does not match feature_dim {model.feature_dim}"
         )
-    nodes = model.packed()
-    if model._walkable is not nodes:
-        problem = node_problem(
-            nodes.roots, nodes.feature, nodes.threshold, nodes.right, nodes.leaf_counts,
-            model.feature_dim,
-        )
-        if problem is not None:
-            raise ValueError(f"malformed forest nodes: {problem}")
-        model._walkable = nodes
+    nodes, fractions = model.packed(), model.fractions
     kernel = _kernels()
     if kernel is not None:
-        return kernel.predict(nodes, X)
+        return kernel.predict(nodes, fractions, X)
     step = max(1, _PAIR_BUDGET // nodes.n_trees)
-    probs = np.empty((X.shape[0], nodes.fractions.shape[1]))
+    probs = np.empty((X.shape[0], fractions.shape[1]))
     for start in range(0, X.shape[0], step):
         leaves = _leaf_nodes(nodes, X[start : start + step])
-        probs[start : start + step] = nodes.fractions[leaves].mean(axis=1)
+        probs[start : start + step] = fractions[leaves].mean(axis=1)
     return probs
 
 

@@ -462,6 +462,8 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
         ("evaluate", "confidence_threshold", 0.5),
         ("evaluate", "fps", 0.0),
         ("evaluate", "fps", float("inf")),
+        ("evaluate", "fps", 1001),
+        ("evaluate", "fps", 1e308),  # its rates would not be finite
         ("evaluate", "confidence_threshold", float("inf")),
         ("train", "min_frames", -5),
         ("evaluate", "min_frames", -5),

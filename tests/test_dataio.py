@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from gazekit.dataio import (
     write_dataset,
     write_pgm,
 )
-from gazekit.forest import ForestConfig, ForestNodes, predict_proba_batch, train_arrays
+from gazekit.forest import (
+    ForestConfig, ForestModel, ForestNodes, predict_proba_batch, train_arrays,
+)
 from gazekit.synth import SubjectProfile, iter_subject_frames
 
 SRC = str(Path(gazekit.__file__).resolve().parents[1])
@@ -223,14 +226,26 @@ def test_model_rejects_corruption(tmp_path):
 
 
 def _model_with(model, name, index, value):
-    """``model`` with one entry of one node array replaced, unchecked."""
-    arrays = {
-        field: getattr(model.nodes, field).copy()
-        for field in ("roots", "feature", "threshold", "right", "leaf_counts")
-    }
-    arrays[name][index] = value
-    with np.errstate(invalid="ignore"):
-        return dataclasses.replace(model, nodes=ForestNodes(**arrays))
+    """The fields of ``model`` with one entry of one node array replaced, or,
+    for ``name`` "self_loop", a one-split forest whose node 0 is its own right
+    child. Unchecked: a namespace that ``model_bytes`` writes as it would a
+    model, since no ForestModel holds malformed nodes."""
+    if name == "self_loop":
+        nodes = ForestNodes(
+            roots=np.array([0]), feature=np.array([0, -1, -1], dtype=np.int32),
+            threshold=np.array([0.5, 0.0, 0.0]), right=np.array([0, -1, -1], dtype=np.int32),
+            leaf_counts=np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], dtype=np.uint32),
+        )
+    else:
+        arrays = {
+            field: getattr(model.nodes, field).copy()
+            for field in ("roots", "feature", "threshold", "right", "leaf_counts")
+        }
+        arrays[name][index] = value
+        nodes = ForestNodes(**arrays)
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model) if f.init}
+    config = dataclasses.replace(model.config, n_trees=nodes.n_trees)
+    return SimpleNamespace(**{**fields, "config": config, "nodes": nodes})
 
 
 MALFORMED_NODES = [
@@ -242,53 +257,55 @@ MALFORMED_NODES = [
     ("right", 0, 10**6, "right child"),  # outside its tree
     ("leaf_counts", 0, 0, "no class mass"),
 ]
+MALFORMED_FORESTS = [*MALFORMED_NODES, ("self_loop", None, None, "right child")]
 
 
-@pytest.mark.parametrize("name, index, value, message", MALFORMED_NODES)
-def test_model_rejects_malformed_nodes(tmp_path, name, index, value, message):
+@pytest.mark.parametrize("name, index, value, message", MALFORMED_FORESTS)
+def test_forest_model_refuses_malformed_nodes(name, index, value, message):
+    model, _ = _trained_model()
+    assert model.nodes.feature[0] >= 0  # node 0 is a split
+    with pytest.raises(ValueError, match=message):
+        ForestModel(**vars(_model_with(model, name, index, value)))
+
+
+@pytest.mark.parametrize("name, index, value, message", MALFORMED_FORESTS)
+def test_model_rejects_malformed_nodes(
+    head_only_inputs, tmp_path, capsys, name, index, value, message
+):
     model, _ = _trained_model()
     assert model.nodes.feature[0] >= 0  # node 0 is a split
     path = tmp_path / "m.gzkf"
     path.write_bytes(model_bytes(_model_with(model, name, index, value)))
     with pytest.raises(DataFormatError, match=message):
         load_model(path)
+    root, _ = head_only_inputs
+    code = main(["classify", "--model", str(path), "--data", str(root / "data"),
+                 "--out", str(tmp_path / "decisions.jsonl")])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
-# Each malformed model, and a one-split forest whose right child of node 0
-# is node 0, goes through prediction on both kernel paths; the compiled walk
-# alone must also refuse the ones that would lead it out of its tree.
-_PREDICT_MALFORMED = """
-import json, sys
+# The compiled walk checks every step itself, because its arrays can be
+# changed in place after a ForestModel checked them. Each malformed forest
+# that would lead it out of its tree goes to the walk directly, in a child
+# process, so that a walk that is not stopped shows as a hang or a signal.
+_WALK_MALFORMED = """
+import json
 import numpy as np
 from gazekit import forest
-from gazekit.core import REGIONS
-from gazekit.forest import ForestConfig, ForestModel, ForestNodes, TrainingDigest
 import test_dataio as t
 
 model, queries = t._trained_model()
 queries = np.vstack([queries, np.full(5, np.nan)])  # NaN goes right at every split
-cases = [t._model_with(model, name, index, value) for name, index, value, _ in t.MALFORMED_NODES]
-self_loop = ForestNodes(
-    roots=np.array([0]), feature=np.array([0, -1, -1], dtype=np.int32),
-    threshold=np.array([0.5, 0.0, 0.0]), right=np.array([0, -1, -1], dtype=np.int32),
-    leaf_counts=np.array([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], dtype=np.uint32),
-)
-cases.append(ForestModel(ForestConfig(n_trees=1), self_loop, 5, REGIONS,
-                         TrainingDigest((1,) * 6, 0, 1.0)))
 compiled = forest._kernels()
 assert compiled is not None
 outcomes = {}
-for path, handle in (("c", compiled), ("numpy", None)):
-    forest._kernel = handle
-    for i, case in enumerate(cases):
-        try:
-            forest.predict_proba_batch(case, queries)
-            outcomes[f"{path} {i}"] = "returned"
-        except ValueError:
-            outcomes[f"{path} {i}"] = "raised"
-for i in (0, 1, 4, 5, 7):  # bad tags and right children
+for i in (0, 1, 4, 5, 7):  # bad tags and right children, and the self-loop
+    nodes = t._model_with(model, *t.MALFORMED_FORESTS[i][:3]).nodes
+    fractions = np.zeros((nodes.feature.size, 6))
+    fractions[nodes.feature == forest.LEAF] = 1.0 / 6
     try:
-        compiled.predict(cases[i].nodes, queries)
+        compiled.predict(nodes, fractions, queries)
         outcomes[f"walk {i}"] = "returned"
     except ValueError:
         outcomes[f"walk {i}"] = "raised"
@@ -296,16 +313,16 @@ print(json.dumps(outcomes))
 """
 
 
-def test_malformed_nodes_raise_in_prediction_on_both_paths(compiled, tmp_path):
+def test_compiled_walk_refuses_nodes_outside_their_tree(compiled, tmp_path):
     tests_dir = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tests_dir)]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PREDICT_MALFORMED], env=env, cwd=tmp_path,
+        [sys.executable, "-c", _WALK_MALFORMED], env=env, cwd=tmp_path,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr  # neither a hang nor a signal
     outcomes = json.loads(proc.stdout.splitlines()[-1])
-    assert len(outcomes) == 2 * (len(MALFORMED_NODES) + 1) + 5
+    assert len(outcomes) == 5
     assert set(outcomes.values()) == {"raised"}, outcomes
 
 

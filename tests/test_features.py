@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,13 @@ def test_normalize_degenerate_box():
     pts = np.zeros((68, 2))  # everything stacked on one point
     with pytest.raises(DegenerateBox):
         normalize_landmarks(Landmarks(pts))
+    # A subnormal box: the other landmarks would land at infinity, silently.
+    pts = FACE_TEMPLATE.copy()
+    pts[27:48] *= 1e-312
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateBox):
+            normalize_landmarks(Landmarks(pts))
 
 
 def test_nose_tip_normalized_slices_index_30():

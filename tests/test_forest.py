@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -78,7 +79,7 @@ def _model_preorder(model, tree):
     span = range(start, start + int(nodes.tree_sizes[tree]))
     return [
         (int(nodes.feature[i]), float(nodes.threshold[i]),
-         nodes.fractions[i].tolist() if nodes.feature[i] == LEAF else None)
+         model.fractions[i].tolist() if nodes.feature[i] == LEAF else None)
         for i in span
     ]
 
@@ -200,6 +201,13 @@ def _manual_model(roots, feature, threshold, right, leaf_counts):
         class_order=REGIONS,
         training_digest=TrainingDigest((1,) * 6, 0, 1.0),
     )
+
+
+def test_forest_model_is_frozen():
+    model = _manual_model([0], [LEAF], [0.0], [-1], [[1, 0, 0, 0, 0, 0]])
+    for field in dataclasses.fields(model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field.name, None)
 
 
 def test_predict_single_tree_passthrough():

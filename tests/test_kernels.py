@@ -3,6 +3,7 @@ numpy when the kernels cannot be built or loaded."""
 
 import itertools
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,17 @@ def test_paths_agree_when_ranks_need_two_sort_passes(compiled, bootstrap):
     )
     queries = [rng.normal(size=(50, 4)), X]
     _assert_identical(*_on_both_paths(compiled, X, y, 6, cfg, queries))
+
+
+def test_kernel_source_compiles_without_warnings():
+    compiler = shutil.which(forest._COMPILER)
+    if compiler is None:
+        pytest.skip(f"no C compiler: {forest._COMPILER!r} is not on PATH")
+    flags = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-fsyntax-only"]
+    proc = subprocess.run(
+        [compiler, *flags, str(forest._SOURCE)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ __all__ = [
     "SubjectBackground",
     "BackgroundModel",
     "OwlnessReport",
-    "ConfusionMatrix",
+    "row_percentages",
+    "overall_accuracy",
     "classify_strategy",
     "PreparedSubject",
     "PreparedDataset",
@@ -69,8 +70,7 @@ __all__ = [
     "background_from_prepared",
     "owlness_from_prepared",
     "EvalConfig",
-    "ModeStats",
-    "UserEvaluation",
+    "SubjectResult",
     "StudyResult",
     "evaluate_user",
     "run_study",
@@ -145,39 +145,19 @@ def classify_strategy(owlness: float, thresholds=DEFAULT_OWL_THRESHOLDS) -> Stra
     return Strategy.MIXED
 
 
-class ConfusionMatrix:
-    """6x6 counts, rows = ground truth, columns = prediction."""
+# A confusion matrix is a (6, 6) int64 array: rows ground truth, columns
+# prediction.
 
-    def __init__(self, counts=None):
-        self.counts = (
-            np.zeros((N_REGIONS, N_REGIONS), dtype=np.int64)
-            if counts is None
-            else np.array(counts, dtype=np.int64)
-        )
-        if self.counts.shape != (N_REGIONS, N_REGIONS):
-            raise ValueError("confusion matrix must be 6x6")
+def overall_accuracy(counts: np.ndarray) -> float:
+    total = int(counts.sum())
+    return math.nan if total == 0 else float(np.trace(counts)) / total
 
-    def add(self, truth_codes, predicted_codes):
-        np.add.at(self.counts, (np.asarray(truth_codes), np.asarray(predicted_codes)), 1)
 
-    def merge(self, other: "ConfusionMatrix"):
-        self.counts += other.counts
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def overall_accuracy(self) -> float:
-        total = self.total()
-        return math.nan if total == 0 else float(np.trace(self.counts)) / total
-
-    def row_percentages(self) -> np.ndarray:
-        """Rows normalized to percent; all-zero rows become NaN."""
-        sums = self.counts.sum(axis=1, keepdims=True).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(sums > 0, 100.0 * self.counts / sums, np.nan)
-
-    def per_region_accuracy(self) -> np.ndarray:
-        return np.diagonal(self.row_percentages()) / 100.0
+def row_percentages(counts: np.ndarray) -> np.ndarray:
+    """Rows normalized to percent; all-zero rows become NaN."""
+    sums = counts.sum(axis=1, keepdims=True).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(sums > 0, 100.0 * counts / sums, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +167,13 @@ class ConfusionMatrix:
 @dataclass
 class PreparedSubject:
     subject_id: str
-    labels: np.ndarray      # (n,) region codes of the frames with a face
+    n_faces: int            # frames with a face, whether or not a pupil was found
+    labels: np.ndarray      # (n,) region codes of the pupil-passing frames
     head: np.ndarray        # (n, 136)
-    pupil_uv: np.ndarray    # (n, 2); NaN where the pupil stage failed
-    pupil_ok: np.ndarray    # (n,) bool
-
-    @property
-    def n_faces(self) -> int:
-        return int(self.labels.size)
-
-    @property
-    def n_pupils(self) -> int:
-        return int(self.pupil_ok.sum())
+    pupil_uv: np.ndarray    # (n, 2)
 
     def region_counts(self) -> np.ndarray:
-        return np.bincount(self.labels[self.pupil_ok], minlength=N_REGIONS)
+        return np.bincount(self.labels, minlength=N_REGIONS)
 
 
 @dataclass
@@ -215,7 +187,7 @@ class PreparedDataset:
 
     @property
     def pupils(self) -> int:
-        return sum(s.n_pupils for s in self.subjects.values())
+        return sum(s.labels.size for s in self.subjects.values())
 
     def subject_ids(self) -> list[str]:
         return list(self.subjects)
@@ -228,9 +200,9 @@ class PreparedDataset:
         chosen = [self.subjects[sid] for sid in ids]
         if not chosen:
             raise InsufficientData("no subject has a frame with a face")
-        head = np.concatenate([s.head[s.pupil_ok] for s in chosen])
-        uv = np.concatenate([s.pupil_uv[s.pupil_ok] for s in chosen])
-        labels = np.concatenate([s.labels[s.pupil_ok] for s in chosen])
+        head = np.concatenate([s.head for s in chosen])
+        uv = np.concatenate([s.pupil_uv for s in chosen])
+        labels = np.concatenate([s.labels for s in chosen])
         return mode_matrix(head, uv, mode), labels
 
 
@@ -256,22 +228,22 @@ def prepare_dataset(
         if sid is None:
             continue
         # A subject whose frames are all face failures still gets an entry.
-        slot = acc.setdefault(sid, {"labels": [], "head": [], "uv": [], "ok": []})
+        slot = acc.setdefault(sid, {"faces": 0, "labels": [], "head": [], "uv": []})
         if staged.drop is DropReason.NO_FACE:
             continue
-        ok = staged.drop is None
-        slot["labels"].append(region_index(record.label))
-        slot["head"].append(staged.head)
-        slot["uv"].append(staged.pupil_uv if ok else (math.nan, math.nan))
-        slot["ok"].append(ok)
+        slot["faces"] += 1
+        if staged.drop is None:
+            slot["labels"].append(region_index(record.label))
+            slot["head"].append(staged.head)
+            slot["uv"].append(staged.pupil_uv)
 
     subjects = {
         sid: PreparedSubject(
             subject_id=sid,
+            n_faces=slot["faces"],
             labels=np.array(slot["labels"], dtype=np.int64),
             head=np.array(slot["head"], dtype=np.float64).reshape(-1, HEAD_DIM),
             pupil_uv=np.array(slot["uv"], dtype=np.float64).reshape(-1, EYE_DIM),
-            pupil_ok=np.array(slot["ok"], dtype=bool),
         )
         for sid, slot in acc.items()
     }
@@ -281,14 +253,12 @@ def prepare_dataset(
 def background_from_prepared(ds: PreparedDataset) -> BackgroundModel:
     subjects = {}
     for sid, subject in ds.subjects.items():
-        ok = subject.pupil_ok
-        if not ok.any():
+        if not subject.labels.size:
             continue
-        noses = nose_block(subject.head[ok])
         subjects[sid] = SubjectBackground(
-            mean_nose=tuple(noses.mean(axis=0)),
-            mean_pupil=tuple(subject.pupil_uv[ok].mean(axis=0)),
-            frame_count=int(ok.sum()),
+            mean_nose=tuple(nose_block(subject.head).mean(axis=0)),
+            mean_pupil=tuple(subject.pupil_uv.mean(axis=0)),
+            frame_count=subject.labels.size,
         )
     return BackgroundModel(subjects=subjects)
 
@@ -307,13 +277,11 @@ def owlness_from_prepared(
     bg = bg or background_from_prepared(ds)
     reports = {}
     for sid, subject in ds.subjects.items():
-        ok = subject.pupil_ok
-        if not ok.any():
+        if not subject.labels.size:
             continue
         background = bg.for_subject(sid)
-        noses = nose_block(subject.head[ok])
-        d_head = np.linalg.norm(noses - background.mean_nose, axis=1)
-        d_pupil = np.linalg.norm(subject.pupil_uv[ok] - background.mean_pupil, axis=1)
+        d_head = np.linalg.norm(nose_block(subject.head) - background.mean_nose, axis=1)
+        d_pupil = np.linalg.norm(subject.pupil_uv - background.mean_pupil, axis=1)
         total = d_head + d_pupil
         with np.errstate(invalid="ignore"):
             per_frame = np.where(total == 0.0, 0.5, d_head / total)
@@ -324,7 +292,7 @@ def owlness_from_prepared(
             mean_head_dist=float(d_head.mean()),
             mean_pupil_dist=float(d_pupil.mean()),
             strategy=classify_strategy(owlness, thresholds),
-            frame_count=int(ok.sum()),
+            frame_count=subject.labels.size,
         )
     return reports
 
@@ -353,35 +321,29 @@ class EvalConfig:
 
 
 @dataclass
-class ModeStats:
-    """Accuracy distribution for one (subject, mode) over repetitions."""
+class SubjectResult:
+    """One held-out subject's scores; each dict is keyed by mode."""
 
-    mode: FeatureMode
-    accuracies: np.ndarray     # (repetitions,), NaN when nothing was accepted
-    accepted_counts: np.ndarray
-    evaluated_counts: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.nanmean(self.accuracies)) if np.any(~np.isnan(self.accuracies)) else math.nan
-
-    @property
-    def std(self) -> float:
-        return float(np.nanstd(self.accuracies)) if np.any(~np.isnan(self.accuracies)) else math.nan
-
-
-@dataclass
-class UserEvaluation:
     subject_id: str
-    stats: dict[FeatureMode, ModeStats]
+    accuracies: dict[FeatureMode, np.ndarray]  # per repetition, NaN when nothing was accepted
+    accepted: dict[FeatureMode, np.ndarray]    # accepted decisions per repetition
+    confusions: dict[FeatureMode, np.ndarray]  # (6, 6) counts summed over repetitions
     unbalanced_accepted: int   # accepted decisions in one plain pass (ledger row)
+
+    def mean(self, mode: FeatureMode) -> float:
+        acc = self.accuracies[mode]
+        return float(np.nanmean(acc)) if np.any(~np.isnan(acc)) else math.nan
+
+    def std(self, mode: FeatureMode) -> float:
+        acc = self.accuracies[mode]
+        return float(np.nanstd(acc)) if np.any(~np.isnan(acc)) else math.nan
 
 
 @dataclass
 class StudyResult:
     config: EvalConfig
-    users: list[UserEvaluation]
-    confusions: dict[FeatureMode, ConfusionMatrix]
+    subjects: list[SubjectResult]
+    confusions: dict[FeatureMode, np.ndarray]  # (6, 6) counts summed over subjects
     owlness: dict[str, OwlnessReport]
     ledger: AttritionLedger
 
@@ -408,12 +370,11 @@ def evaluate_user(
     subject_id: str,
     ds: PreparedDataset,
     cfg: EvalConfig,
-) -> tuple[UserEvaluation, dict[FeatureMode, ConfusionMatrix]]:
+) -> SubjectResult:
     """Hold one subject out, train on the rest, score with pruning.
 
     Each repetition redraws the balanced training subsample, the balanced
     test supersample, and the forest seed; both modes see identical draws.
-    Returns the per-user stats and that user's confusion contributions.
     """
     _check_study(ds, cfg)
     user_index = ds.subject_ids().index(subject_id)
@@ -425,8 +386,7 @@ def evaluate_user(
 
     accuracies = {mode: np.full(cfg.repetitions, math.nan) for mode in cfg.modes}
     accepted = {mode: np.zeros(cfg.repetitions, dtype=np.int64) for mode in cfg.modes}
-    evaluated = {mode: np.zeros(cfg.repetitions, dtype=np.int64) for mode in cfg.modes}
-    confusions = {mode: ConfusionMatrix() for mode in cfg.modes}
+    confusions = {mode: np.zeros((N_REGIONS, N_REGIONS), dtype=np.int64) for mode in cfg.modes}
     unbalanced_accepted = 0
     primary = (
         FeatureMode.HEAD_AND_EYE if FeatureMode.HEAD_AND_EYE in cfg.modes else cfg.modes[0]
@@ -447,27 +407,11 @@ def evaluate_user(
             if rep == 0 and mode is primary:
                 unbalanced_accepted = int(keep.sum())
             predicted, keep = predicted[test_sel], keep[test_sel]
-            evaluated[mode][rep] = truth.size
             accepted[mode][rep] = int(keep.sum())
             if keep.any():
                 accuracies[mode][rep] = float((predicted[keep] == truth[keep]).mean())
-                confusions[mode].add(truth[keep], predicted[keep])
-
-    stats = {
-        mode: ModeStats(
-            mode=mode,
-            accuracies=accuracies[mode],
-            accepted_counts=accepted[mode],
-            evaluated_counts=evaluated[mode],
-        )
-        for mode in cfg.modes
-    }
-    return (
-        UserEvaluation(
-            subject_id=subject_id, stats=stats, unbalanced_accepted=unbalanced_accepted
-        ),
-        confusions,
-    )
+                np.add.at(confusions[mode], (truth[keep], predicted[keep]), 1)
+    return SubjectResult(subject_id, accuracies, accepted, confusions, unbalanced_accepted)
 
 
 def run_study(ds: PreparedDataset, cfg: EvalConfig) -> StudyResult:
@@ -479,25 +423,17 @@ def run_study(ds: PreparedDataset, cfg: EvalConfig) -> StudyResult:
     """
     _check_study(ds, cfg)
     owlness = owlness_from_prepared(ds, thresholds=cfg.owl_thresholds)
-    users = []
-    confusions = {mode: ConfusionMatrix() for mode in cfg.modes}
-    confident = 0
-    for sid in ds.subject_ids():
-        evaluation, contributions = evaluate_user(sid, ds, cfg)
-        users.append(evaluation)
-        for mode in cfg.modes:
-            confusions[mode].merge(contributions[mode])
-        confident += evaluation.unbalanced_accepted
+    subjects = [evaluate_user(sid, ds, cfg) for sid in ds.subject_ids()]
     ledger = AttritionLedger(
         total_frames=ds.total_records,
         faces_detected=ds.faces,
         pupils_detected=ds.pupils,
-        confident_decisions=confident,
+        confident_decisions=sum(s.unbalanced_accepted for s in subjects),
     )
     return StudyResult(
         config=cfg,
-        users=users,
-        confusions=confusions,
+        subjects=subjects,
+        confusions={mode: sum(s.confusions[mode] for s in subjects) for mode in cfg.modes},
         owlness=owlness,
         ledger=ledger,
     )
@@ -508,12 +444,14 @@ def run_study(ds: PreparedDataset, cfg: EvalConfig) -> StudyResult:
 # ---------------------------------------------------------------------------
 
 def pearson(xs, ys) -> tuple[float, bool]:
-    """Pearson r and whether it is defined (variance on both sides, n >= 2)."""
+    """Pearson r and whether it is defined (every value finite, variance on
+    both sides, n >= 2)."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.size != ys.size:
         raise ValueError("paired samples required")
-    if xs.size < 2 or np.std(xs) == 0.0 or np.std(ys) == 0.0:
+    finite = np.isfinite(xs).all() and np.isfinite(ys).all()
+    if not finite or xs.size < 2 or np.std(xs) == 0.0 or np.std(ys) == 0.0:
         return math.nan, False
     return float(np.corrcoef(xs, ys)[0, 1]), True
 
@@ -542,8 +480,8 @@ def accuracy_delta_report(study: StudyResult) -> DeltaReport:
         raise ModeMismatch("delta report needs both head-only and head-and-eye results")
     cm_head = study.confusions[FeatureMode.HEAD_ONLY]
     cm_both = study.confusions[FeatureMode.HEAD_AND_EYE]
-    acc_head = cm_head.per_region_accuracy()
-    acc_both = cm_both.per_region_accuracy()
+    acc_head = np.diagonal(row_percentages(cm_head)) / 100.0
+    acc_both = np.diagonal(row_percentages(cm_both)) / 100.0
     per_region = [
         (
             region.value,
@@ -554,16 +492,16 @@ def accuracy_delta_report(study: StudyResult) -> DeltaReport:
         for i, region in enumerate(REGIONS)
     ]
     per_user = []
-    for user in study.users:
-        delta = user.stats[FeatureMode.HEAD_AND_EYE].mean - user.stats[FeatureMode.HEAD_ONLY].mean
-        owl = study.owlness[user.subject_id].owlness
-        per_user.append((user.subject_id, owl, float(delta)))
+    for subject in study.subjects:
+        delta = subject.mean(FeatureMode.HEAD_AND_EYE) - subject.mean(FeatureMode.HEAD_ONLY)
+        owl = study.owlness[subject.subject_id].owlness
+        per_user.append((subject.subject_id, owl, float(delta)))
     r, defined = pearson([m for _, m, _ in per_user], [d for _, _, d in per_user])
     return DeltaReport(
         per_region=per_region,
         per_user=per_user,
         pearson_r=r,
         pearson_defined=defined,
-        overall_head_only=cm_head.overall_accuracy(),
-        overall_head_eye=cm_both.overall_accuracy(),
+        overall_head_only=overall_accuracy(cm_head),
+        overall_head_eye=overall_accuracy(cm_both),
     )

@@ -227,11 +227,12 @@ def write_dataset(out_dir, frames: Iterable, meta: dict | None = None) -> dict:
     crops_dir.mkdir(exist_ok=True)
 
     jsonl_path = out_dir / "frames.jsonl"
+    frames_hash = hashlib.sha256()
     crop_hash = hashlib.sha256()
     total = 0
     face_failures = 0
     subjects: dict[str, int] = {}
-    with jsonl_path.open("w", encoding="utf-8") as stream:
+    with jsonl_path.open("w", encoding="utf-8", newline="\n") as stream:
         for frame in frames:
             total += 1
             subjects[frame.subject_id] = subjects.get(frame.subject_id, 0) + 1
@@ -250,7 +251,9 @@ def write_dataset(out_dir, frames: Iterable, meta: dict | None = None) -> dict:
                 crop_hash.update(rel.encode("utf-8"))
                 crop_hash.update(write_pgm(out_dir / rel, frame.record.eye_crop))
                 obj = frame_to_obj(frame.record, rel)
-            stream.write(json.dumps(obj) + "\n")
+            line = json.dumps(obj) + "\n"
+            frames_hash.update(line.encode("utf-8"))
+            stream.write(line)
 
     manifest = {
         "format": "gazekit-dataset",
@@ -258,7 +261,7 @@ def write_dataset(out_dir, frames: Iterable, meta: dict | None = None) -> dict:
         "total_frames": total,
         "face_failures": face_failures,
         "subjects": subjects,
-        "frames_sha256": hashlib.sha256(jsonl_path.read_bytes()).hexdigest(),
+        "frames_sha256": frames_hash.hexdigest(),
         "crops_sha256": crop_hash.hexdigest(),
     }
     if meta:

@@ -161,6 +161,8 @@ class ForestModel:
         )
         if problem is not None:
             raise ValueError(problem)
+        if nodes.leaf_counts.shape[1] != len(self.class_order):
+            raise ValueError("leaf class counts do not match the class order")
         counts = nodes.leaf_counts
         fractions = np.zeros((nodes.feature.size, counts.shape[1]))
         fractions[nodes.feature == LEAF] = counts / counts.sum(axis=1, keepdims=True)
@@ -551,7 +553,7 @@ def _train_one(index: int):
         weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
     else:
         weight = np.ones(n, dtype=np.int64)
-    return _grow_tree(data, weight, n_classes, cfg, rng), np.flatnonzero(weight)
+    return _grow_tree(data, weight, n_classes, cfg, rng), np.packbits(weight > 0)
 
 
 def _fit_trees(X, y, n_classes, cfg: ForestConfig):
@@ -573,10 +575,10 @@ def _fit_trees(X, y, n_classes, cfg: ForestConfig):
     )
     sizes = [tree[0].size for tree, _ in results]
     nodes = ForestNodes(np.cumsum([0] + sizes[:-1]), feature, threshold, right, leaf_counts)
-    seen = np.zeros(X.shape[0], dtype=bool)
+    seen = np.zeros_like(results[0][1])
     for _, chosen in results:
-        seen[chosen] = True
-    return nodes, float(seen.mean())
+        seen |= chosen
+    return nodes, float(np.unpackbits(seen, count=X.shape[0]).mean())
 
 
 def train_arrays(X, y, class_order: Sequence, cfg: ForestConfig) -> ForestModel:

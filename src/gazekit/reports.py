@@ -11,9 +11,8 @@ import json
 import math
 from pathlib import Path
 
-from .analysis import DeltaReport, StudyResult
+from .analysis import DeltaReport, StudyResult, overall_accuracy, row_percentages
 from .core import REGIONS
-from .features import FeatureMode
 from .pipeline import AttritionLedger, decision_rates
 
 __all__ = ["fmt", "write_csv", "write_study_reports"]
@@ -61,15 +60,15 @@ def _ledger_payload(ledger: AttritionLedger, fps: float) -> dict:
 def _confusion_files(out_dir: Path, study: StudyResult) -> list[Path]:
     written = []
     names = [region.value for region in REGIONS]
-    for mode, cm in study.confusions.items():
+    for mode, counts in study.confusions.items():
         suffix = mode.value.replace("-", "_")
         counts_path = out_dir / f"confusion_{suffix}.csv"
         write_csv(
             counts_path,
             ["truth\\prediction"] + names,
-            [(names[i], *cm.counts[i].tolist()) for i in range(len(names))],
+            [(names[i], *counts[i].tolist()) for i in range(len(names))],
         )
-        pct = cm.row_percentages()
+        pct = row_percentages(counts)
         pct_path = out_dir / f"confusion_{suffix}_pct.csv"
         write_csv(
             pct_path,
@@ -109,30 +108,24 @@ def write_study_reports(
 
     written.extend(_confusion_files(out_dir, study))
 
-    with_delta = delta is not None and {
-        FeatureMode.HEAD_ONLY,
-        FeatureMode.HEAD_AND_EYE,
-    } <= set(study.config.modes)
     per_user_rows = []
-    for user in study.users:
-        owl = study.owlness.get(user.subject_id)
-        row = [user.subject_id]
+    for i, subject in enumerate(study.subjects):
+        owl = study.owlness.get(subject.subject_id)
+        row = [subject.subject_id]
         row.append(owl.owlness if owl else math.nan)
         row.append(owl.strategy.value if owl else "unknown")
         for mode in study.config.modes:
-            stats = user.stats[mode]
-            row.extend([stats.mean, stats.std, int(stats.accepted_counts.sum())])
-        if with_delta:
-            row.append(
-                user.stats[FeatureMode.HEAD_AND_EYE].mean
-                - user.stats[FeatureMode.HEAD_ONLY].mean
+            row.extend(
+                [subject.mean(mode), subject.std(mode), int(subject.accepted[mode].sum())]
             )
+        if delta is not None:
+            row.append(delta.per_user[i][2])
         per_user_rows.append(tuple(row))
     header = ["subject", "owlness", "strategy"]
     for mode in study.config.modes:
         tag = mode.value.replace("-", "_")
         header.extend([f"{tag}_mean", f"{tag}_std", f"{tag}_accepted"])
-    if with_delta:
+    if delta is not None:
         header.append("delta")
     per_user_path = out_dir / "per_user.csv"
     write_csv(per_user_path, header, per_user_rows)
@@ -176,7 +169,7 @@ def write_study_reports(
         )
     else:
         only = study.config.modes[0]
-        summary["overall_accuracy"] = study.confusions[only].overall_accuracy()
+        summary["overall_accuracy"] = overall_accuracy(study.confusions[only])
     summary_path = out_dir / "summary.json"
     _write_json(summary_path, _jsonable(summary))
     written.append(summary_path)

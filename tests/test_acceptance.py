@@ -178,7 +178,7 @@ def _owlness_per_frame(heads, pupils_uv, backgrounds):
     ids = [f"f{i}" for i in range(len(heads))]
     subjects = {
         sid: analysis.PreparedSubject(
-            sid, np.zeros(1, dtype=np.int64), head[None], np.array([uv]), np.ones(1, bool)
+            sid, 1, np.zeros(1, dtype=np.int64), head[None], np.array([uv])
         )
         for sid, head, uv in zip(ids, heads, pupils_uv)
     }

@@ -5,7 +5,6 @@ import pytest
 
 from gazekit.analysis import (
     BackgroundModel,
-    ConfusionMatrix,
     EvalConfig,
     InsufficientData,
     MissingBackground,
@@ -19,9 +18,11 @@ from gazekit.analysis import (
     background_from_prepared,
     classify_strategy,
     evaluate_user,
+    overall_accuracy,
     owlness_from_prepared,
     pearson,
     prepare_dataset,
+    row_percentages,
     run_study,
 )
 from gazekit.core import NOSE_TIP_INDEX, GazeRegion
@@ -40,7 +41,7 @@ def _subject(sid, heads, pupils_uv):
     normalized pupils."""
     n = len(heads)
     return PreparedSubject(
-        sid, np.zeros(n, dtype=np.int64), np.array(heads), np.array(pupils_uv), np.ones(n, bool)
+        sid, n, np.zeros(n, dtype=np.int64), np.array(heads), np.array(pupils_uv)
     )
 
 
@@ -145,15 +146,15 @@ def test_owlness_subject_is_mean_of_per_frame_values():
 
 
 def test_confusion_matrix_properties():
-    cm = ConfusionMatrix()
-    cm.add([0, 0, 1, 2], [0, 1, 1, 2])
-    assert cm.total() == 4
-    assert cm.overall_accuracy() == pytest.approx(0.75)
-    pct = cm.row_percentages()
+    counts = np.zeros((6, 6), dtype=np.int64)
+    np.add.at(counts, ([0, 0, 1, 2], [0, 1, 1, 2]), 1)
+    assert counts.sum() == 4
+    assert overall_accuracy(counts) == pytest.approx(0.75)
+    pct = row_percentages(counts)
     sums = np.nansum(pct, axis=1)
     assert sums[0] == pytest.approx(100.0)
     assert math.isnan(pct[5, 5])  # empty row
-    per_region = cm.per_region_accuracy()
+    per_region = np.diagonal(pct) / 100.0
     assert per_region[0] == pytest.approx(0.5)
     assert per_region[1] == pytest.approx(1.0)
 
@@ -162,6 +163,8 @@ def test_pearson_behaviour():
     r, defined = pearson([1, 2, 3, 4], [2, 4, 6, 8.5])
     assert defined and r > 0.99
     r, defined = pearson([1, 1, 1], [2, 3, 4])
+    assert not defined and math.isnan(r)
+    r, defined = pearson([0.1, 0.5, 0.9], [math.nan, 0.2, 0.3])  # a subject without a delta
     assert not defined and math.isnan(r)
 
 
@@ -197,9 +200,9 @@ def test_two_subject_separable_world_is_perfect():
         confidence_threshold=1.0,
     )
     study = run_study(ds, cfg)
-    for user in study.users:
+    for subject in study.subjects:
         for mode in cfg.modes:
-            assert user.stats[mode].mean == pytest.approx(1.0)
+            assert subject.mean(mode) == pytest.approx(1.0)
     delta = accuracy_delta_report(study)
     assert delta.overall_head_only == pytest.approx(1.0)
     assert delta.overall_head_eye == pytest.approx(1.0)
@@ -256,11 +259,9 @@ def test_study_is_seed_deterministic():
     )
     a = run_study(ds, cfg)
     b = run_study(ds, cfg)
-    for ua, ub in zip(a.users, b.users):
+    for sa, sb in zip(a.subjects, b.subjects):
         for mode in cfg.modes:
-            assert np.array_equal(
-                ua.stats[mode].accuracies, ub.stats[mode].accuracies, equal_nan=True
-            )
+            assert np.array_equal(sa.accuracies[mode], sb.accuracies[mode], equal_nan=True)
     assert a.ledger == b.ledger
 
 

@@ -321,6 +321,7 @@ def test_evaluate_reports(dataset, tmp_path, capsys):
     assert config["seed"] == 3 and config["command"] == "evaluate"
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["modes"]) == {"head-only", "head-eye"}
+    assert summary["pearson_defined"] == (summary["owlness_delta_pearson_r"] is not None)
 
 
 def _refuse_constant(name):
@@ -335,6 +336,17 @@ def test_evaluate_writes_only_strict_json(dataset, tmp_path, capsys):
     assert {p.name for p in written} >= {"ledger.json", "resolved_config.json", "status.json"}
     for path in written:
         json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def test_evaluate_without_accepted_decisions_leaves_r_undefined(dataset, tmp_path, capsys):
+    # One-split trees never vote 1000:1, so no decision is accepted and every
+    # subject's delta is NaN.
+    out_dir = tmp_path / "none"
+    assert _evaluate(dataset, out_dir, extra=("--depth", "1", "--confidence-threshold", "1000")) == 0
+    capsys.readouterr()
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["owlness_delta_pearson_r"] is None
+    assert summary["pearson_defined"] is False
 
 
 def test_evaluate_threshold_one_accepts_nearly_everything(dataset, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,11 @@ def test_forest_model_is_frozen():
             setattr(model, field.name, None)
 
 
+def test_forest_model_refuses_leaf_counts_of_another_class_count():
+    with pytest.raises(ValueError, match="leaf class counts do not match the class order"):
+        _manual_model([0], [LEAF], [0.0], [-1], [[1, 2, 3]])
+
+
 def test_predict_single_tree_passthrough():
     model = _manual_model([0], [LEAF], [0.0], [-1], [[1, 0, 0, 0, 0, 0]])
     assert predict_proba(model, [0.0, 0.0]) == pytest.approx([1, 0, 0, 0, 0, 0])
@@ -283,6 +289,22 @@ def test_bootstrap_coverage_reported_and_high():
     assert model.training_digest.bootstrap_coverage >= 0.99
     few = train_arrays(X, y, REGIONS, ForestConfig(n_trees=1, max_depth=3, rng_seed=0))
     assert few.training_digest.bootstrap_coverage < 1.0
+
+
+def test_training_memory_is_bounded_by_the_forest_not_the_bootstraps(monkeypatch):
+    # Protocol-sized pool: 28,080 rows (40 subjects, one held out), 200 trees.
+    monkeypatch.delenv("GZK_THREADS", raising=False)
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(28_080, 8))
+    y = rng.integers(0, 6, size=28_080)
+    tracemalloc.start()
+    try:
+        model = train_arrays(X, y, REGIONS, ForestConfig(n_trees=200, max_depth=2, rng_seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.training_digest.bootstrap_coverage == 1.0
+    assert peak < 16 * 2**20
 
 
 def test_train_validations():

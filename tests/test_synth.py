@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,5 +175,7 @@ def test_generate_population_identical_digest_for_identical_seed(tmp_path):
     second = generate_population(tmp_path / "b", n_subjects=1, frames_per_region=120, seed=8)
     assert first["frames_sha256"] == second["frames_sha256"]
     assert first["crops_sha256"] == second["crops_sha256"]
+    frames_bytes = (tmp_path / "a" / "frames.jsonl").read_bytes()
+    assert first["frames_sha256"] == hashlib.sha256(frames_bytes).hexdigest()
     third = generate_population(tmp_path / "c", n_subjects=1, frames_per_region=120, seed=9)
     assert third["frames_sha256"] != first["frames_sha256"]

@@ -54,12 +54,9 @@ from .pupil import (  # detect_pupil stays bound here for perfbench's tracer
 )
 
 __all__ = [
-    "MissingBackground",
     "InsufficientData",
     "ModeMismatch",
     "Strategy",
-    "SubjectBackground",
-    "BackgroundModel",
     "OwlnessReport",
     "row_percentages",
     "overall_accuracy",
@@ -67,7 +64,6 @@ __all__ = [
     "PreparedSubject",
     "PreparedDataset",
     "prepare_dataset",
-    "background_from_prepared",
     "owlness_from_prepared",
     "EvalConfig",
     "SubjectResult",
@@ -82,10 +78,6 @@ __all__ = [
 DEFAULT_OWL_THRESHOLDS = (0.45, 0.55)
 
 
-class MissingBackground(GazekitError):
-    """No background model exists for the requested subject."""
-
-
 class InsufficientData(GazekitError):
     """A subject lacks the required pupil-passing frames for some region."""
 
@@ -98,30 +90,6 @@ class Strategy(Enum):
     LIZARD = "lizard"
     MIXED = "mixed"
     OWL = "owl"
-
-
-@dataclass(frozen=True)
-class SubjectBackground:
-    """Per-subject mean normalized nose-tip and pupil positions."""
-
-    mean_nose: tuple[float, float]
-    mean_pupil: tuple[float, float]
-    frame_count: int
-
-    def __post_init__(self):
-        if self.frame_count < 1:
-            raise ValueError("background model needs at least one frame")
-
-
-@dataclass(frozen=True)
-class BackgroundModel:
-    subjects: dict[str, SubjectBackground]
-
-    def for_subject(self, subject_id: str) -> SubjectBackground:
-        try:
-            return self.subjects[subject_id]
-        except KeyError:
-            raise MissingBackground(f"no background model for subject {subject_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -250,19 +218,6 @@ def prepare_dataset(
     return PreparedDataset(subjects=subjects, total_records=total)
 
 
-def background_from_prepared(ds: PreparedDataset) -> BackgroundModel:
-    subjects = {}
-    for sid, subject in ds.subjects.items():
-        if not subject.labels.size:
-            continue
-        subjects[sid] = SubjectBackground(
-            mean_nose=tuple(nose_block(subject.head).mean(axis=0)),
-            mean_pupil=tuple(subject.pupil_uv.mean(axis=0)),
-            frame_count=subject.labels.size,
-        )
-    return BackgroundModel(subjects=subjects)
-
-
 def nose_block(head: np.ndarray) -> np.ndarray:
     """Normalized nose-tip columns of a stacked head-feature matrix."""
     return head[:, 2 * NOSE_TIP_INDEX : 2 * NOSE_TIP_INDEX + 2]
@@ -270,18 +225,26 @@ def nose_block(head: np.ndarray) -> np.ndarray:
 
 def owlness_from_prepared(
     ds: PreparedDataset,
-    bg: BackgroundModel | None = None,
+    backgrounds: dict | None = None,
     thresholds=DEFAULT_OWL_THRESHOLDS,
 ) -> dict[str, OwlnessReport]:
-    """Owlness report per subject, averaged over pupil-passing frames."""
-    bg = bg or background_from_prepared(ds)
+    """Owlness report per subject, averaged over pupil-passing frames.
+
+    A subject's background is the pair (mean normalized nose tip, mean
+    normalized pupil), by default over its own pupil-passing frames;
+    ``backgrounds`` maps a subject id to another pair.
+    """
     reports = {}
     for sid, subject in ds.subjects.items():
         if not subject.labels.size:
             continue
-        background = bg.for_subject(sid)
-        d_head = np.linalg.norm(nose_block(subject.head) - background.mean_nose, axis=1)
-        d_pupil = np.linalg.norm(subject.pupil_uv - background.mean_pupil, axis=1)
+        nose = nose_block(subject.head)
+        if backgrounds is None:
+            mean_nose, mean_pupil = nose.mean(axis=0), subject.pupil_uv.mean(axis=0)
+        else:
+            mean_nose, mean_pupil = backgrounds[sid]
+        d_head = np.linalg.norm(nose - mean_nose, axis=1)
+        d_pupil = np.linalg.norm(subject.pupil_uv - mean_pupil, axis=1)
         total = d_head + d_pupil
         with np.errstate(invalid="ignore"):
             per_frame = np.where(total == 0.0, 0.5, d_head / total)

@@ -48,7 +48,6 @@ class UsageError(GazekitError):
 _DATA_ERRORS = (
     DataFormatError,
     analysis.InsufficientData,
-    analysis.MissingBackground,
     analysis.ModeMismatch,
     EmptyClass,
     EmptyTrainingSet,
@@ -275,7 +274,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _dataset_path(data: Path) -> Path:
     data = Path(data)
-    return data / "frames.jsonl" if data.is_dir() else data
+    path = data / "frames.jsonl" if data.is_dir() else data
+    if not path.exists():
+        raise DataFormatError(f"dataset not found: {path}")
+    return path
 
 
 def cmd_synth(resolved: dict) -> int:
@@ -297,11 +299,9 @@ def cmd_synth(resolved: dict) -> int:
 
 
 def _prepare(resolved: dict) -> analysis.PreparedDataset:
-    path = _dataset_path(resolved["data"])
-    if not path.exists():
-        raise DataFormatError(f"dataset not found: {path}")
     return analysis.prepare_dataset(
-        dataio.iter_dataset(path), resolved["pupil_grid"] or DEFAULT_GRID
+        dataio.iter_dataset(_dataset_path(resolved["data"])),
+        resolved["pupil_grid"] or DEFAULT_GRID,
     )
 
 
@@ -413,11 +413,8 @@ def cmd_classify(resolved: dict) -> int:
         grid=resolved["pupil_grid"] or DEFAULT_GRID,
     )
     ledger = AttritionLedger()
-    path = _dataset_path(resolved["data"])
-    if not path.exists():
-        raise DataFormatError(f"dataset not found: {path}")
+    entries = dataio.iter_dataset(_dataset_path(resolved["data"]))
     out_path = Path(resolved["out"])
-    entries = dataio.iter_dataset(path)
     with out_path.open("w", encoding="utf-8") as out:
         while batch := list(itertools.islice(entries, CLASSIFY_BATCH)):
             outcomes = classify_batch([entry.record for entry in batch], model, cfg)

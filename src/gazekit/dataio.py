@@ -10,9 +10,9 @@ A frame object carries ``subject_id`` (string), ``frame_index`` (int),
 ``label`` (one of the six region names), ``landmarks`` (flat array of 136
 numbers, x0, y0, x1, y1, ...), ``eye_crop`` (path relative to the JSONL
 file, inside its directory), and ``eye_polygon`` (flat array of 12 numbers).
-A line that is missing, malformed, or fails validation is reported as a
-face-detection failure rather than aborting the stream; frame invariants are
-enforced here, at parse time.
+A line that is missing, malformed (not UTF-8, not JSON, nested too deeply),
+or fails validation is reported as a face-detection failure rather than
+aborting the stream; frame invariants are enforced here, at parse time.
 
 Model files are little-endian throughout: magic ``GZKF``, a u16 format
 version, a fixed header (forest configuration, class order, feature
@@ -201,14 +201,15 @@ def iter_dataset(jsonl_path) -> Iterator[ParsedLine]:
     """Stream a dataset, turning unusable lines into NoFace entries."""
     jsonl_path = Path(jsonl_path)
     base_dir = jsonl_path.parent
-    with jsonl_path.open("r", encoding="utf-8") as stream:
-        for line_number, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
+    with jsonl_path.open("rb") as stream:
+        for line_number, raw in enumerate(stream, start=1):
             try:
-                obj = json.loads(line)
-                record = parse_frame_obj(obj, base_dir)
-            except (DataFormatError, json.JSONDecodeError, OSError) as exc:
+                line = raw.decode("utf-8")  # one bad line must not end the stream
+                if not line.strip():
+                    continue
+                record = parse_frame_obj(json.loads(line), base_dir)
+            # ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
+            except (DataFormatError, OSError, ValueError, RecursionError) as exc:
                 yield ParsedLine(line_number, None, error=str(exc))
                 continue
             yield ParsedLine(line_number, record)

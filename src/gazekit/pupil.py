@@ -167,7 +167,14 @@ def nearest_rank_percentile(values: np.ndarray, pct: float) -> float:
     return float(ordered[max(rank, 1) - 1])
 
 
-def _rescale_masked(pixels: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def rescale_intensity(image: GrayImage | np.ndarray, polygon) -> np.ndarray:
+    """Rescale so the masked 2nd/98th percentiles map to 0.0/1.0.
+
+    Values are clamped to [0, 1]; pixels outside the polygon are set to 1.0.
+    Raises :class:`DegenerateIntensity` when the masked region is constant.
+    """
+    pixels = image.pixels if isinstance(image, GrayImage) else np.asarray(image)
+    mask = polygon_mask(pixels.shape[0], pixels.shape[1], polygon)
     masked = pixels[mask]
     if masked.size == 0:
         raise DegenerateIntensity("mask selects no pixels")
@@ -179,17 +186,6 @@ def _rescale_masked(pixels: np.ndarray, mask: np.ndarray) -> np.ndarray:
     np.clip(out, 0.0, 1.0, out=out)
     out[~mask] = 1.0  # outside the eye polygon counts as bright / non-pupil
     return out
-
-
-def rescale_intensity(image: GrayImage | np.ndarray, polygon) -> np.ndarray:
-    """Rescale so the masked 2nd/98th percentiles map to 0.0/1.0.
-
-    Values are clamped to [0, 1]; pixels outside the polygon are set to 1.0.
-    Raises :class:`DegenerateIntensity` when the masked region is constant.
-    """
-    pixels = image.pixels if isinstance(image, GrayImage) else np.asarray(image)
-    mask = polygon_mask(pixels.shape[0], pixels.shape[1], polygon)
-    return _rescale_masked(pixels, mask)
 
 
 def binarize(image: np.ndarray, threshold: float) -> np.ndarray:
@@ -320,10 +316,8 @@ def detect_pupil(
     if (y_max - y_min) < CLOSED_EYE_RATIO * (x_max - x_min):
         return PupilResult(PupilStatus.EYE_CLOSED)
 
-    pixels = eye_crop.pixels if isinstance(eye_crop, GrayImage) else np.asarray(eye_crop)
-    mask = polygon_mask(pixels.shape[0], pixels.shape[1], poly)
     try:
-        rescaled = _rescale_masked(pixels, mask)
+        rescaled = rescale_intensity(eye_crop, poly)
     except DegenerateIntensity:
         return PupilResult(PupilStatus.NO_BLOB)
 

@@ -19,19 +19,22 @@ __all__ = ["fmt", "write_csv", "write_study_reports"]
 
 
 def fmt(value) -> str:
-    """Canonical cell formatting: fixed 6 decimals, nan/inf spelled out."""
+    """Canonical cell formatting: fixed 6 decimals, nan/inf spelled out, and
+    text that holds a comma, a quote, CR or LF quoted RFC 4180 style."""
     if isinstance(value, float):
         if math.isnan(value):
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
         return f"{value:.6f}"
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]):
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(cell) for cell in row) for row in rows)
+    lines = (",".join(fmt(cell) for cell in row) for row in [header, *rows])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -22,12 +22,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import REGIONS, FrameRecord, GazeRegion, GrayImage, Landmarks
+from .core import REGIONS, FrameRecord, GazeRegion, GrayImage, Landmarks, region_index
 
 __all__ = [
     "SubjectProfile",
-    "RegionTargets",
-    "DEFAULT_TARGETS",
+    "REGION_TARGETS",
     "GeneratedFrame",
     "FACE_TEMPLATE",
     "HEAD_MOTION_WEIGHTS",
@@ -114,41 +113,26 @@ _PUPIL_GAIN = np.array([_EYE_W / _BOX_W, _EYE_H / _BOX_H])
 _OCCLUSION_SQUASH = 0.08  # eye height factor for "closed" frames
 
 
-@dataclass(frozen=True)
-class RegionTargets:
-    """Per-region 2D gaze displacement in normalized units, road at origin."""
-
-    vectors: np.ndarray  # (6, 2), row order matches REGIONS
-
-    def __post_init__(self):
-        v = np.array(self.vectors, dtype=np.float64)
-        if v.shape != (len(REGIONS), 2):
-            raise ValueError(f"expected ({len(REGIONS)}, 2) target vectors, got {v.shape}")
-        if np.any(v[0] != 0.0):
-            raise ValueError("road target must be the origin")
-        if len({tuple(row) for row in v.tolist()}) != len(REGIONS):
-            raise ValueError("region targets must be pairwise distinct")
-        v.flags.writeable = False
-        object.__setattr__(self, "vectors", v)
-
-    def for_region(self, region: GazeRegion) -> np.ndarray:
-        return self.vectors[REGIONS.index(region)]
-
-
-# Center stack and instrument cluster sit deliberately close to road so that
-# low-head-motion subjects confuse them, as real drivers do.
-DEFAULT_TARGETS = RegionTargets(
-    np.array(
-        [
-            [0.00, 0.00],   # road
-            [0.35, 0.50],   # center stack
-            [0.00, 0.45],   # instrument cluster
-            [0.45, -0.35],  # rearview mirror
-            [-1.00, 0.05],  # left
-            [1.00, 0.10],   # right
-        ]
-    )
+# Per-region 2D gaze displacement in normalized units, rows in REGIONS order,
+# road at the origin. Center stack and instrument cluster sit deliberately
+# close to road so that low-head-motion subjects confuse them, as real drivers
+# do.
+REGION_TARGETS = np.array(
+    [
+        [0.00, 0.00],   # road
+        [0.35, 0.50],   # center stack
+        [0.00, 0.45],   # instrument cluster
+        [0.45, -0.35],  # rearview mirror
+        [-1.00, 0.05],  # left
+        [1.00, 0.10],   # right
+    ]
 )
+REGION_TARGETS.flags.writeable = False
+
+PUPIL_RADIUS = 3.0         # px, on the eye crop
+CROP_MARGIN = 5            # px of crop around the eye landmarks
+BACKGROUND_INTENSITY = 205
+PUPIL_INTENSITY = 40
 
 
 @dataclass(frozen=True)
@@ -162,10 +146,6 @@ class SubjectProfile:
     image_noise: float = 8.0         # grayscale sigma on the eye crop
     p_face_fail: float = 0.0
     p_pupil_fail: float = 0.0
-    pupil_radius: float = 3.0
-    crop_margin: int = 5
-    background_intensity: int = 205
-    pupil_intensity: int = 40
 
     def __post_init__(self):
         if not 0.0 <= self.head_gain <= 1.0:
@@ -201,15 +181,13 @@ def render_eye_crop(
     radius: float,
     rng: np.random.Generator,
     noise_sigma: float = 0.0,
-    background: int = 205,
-    pupil_value: int = 40,
 ) -> GrayImage:
     """Bright crop with an optional dark pupil disk and Gaussian noise."""
-    img = np.full((height, width), float(background))
+    img = np.full((height, width), float(BACKGROUND_INTENSITY))
     if pupil_center is not None:
         cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
         disk = (cols - pupil_center[0]) ** 2 + (rows - pupil_center[1]) ** 2 <= radius**2
-        img[disk] = float(pupil_value)
+        img[disk] = float(PUPIL_INTENSITY)
     if noise_sigma > 0:
         img += rng.normal(0.0, noise_sigma, size=img.shape)
     return GrayImage(np.rint(np.clip(img, 0, 255)).astype(np.uint8))
@@ -220,14 +198,13 @@ def generate_frame(
     region: GazeRegion,
     frame_index: int,
     rng: np.random.Generator,
-    targets: RegionTargets = DEFAULT_TARGETS,
 ) -> GeneratedFrame:
     """Render one frame for ``region`` under the subject's gaze strategy."""
     if rng.uniform() < profile.p_face_fail:
         return GeneratedFrame(profile.subject_id, frame_index, region, None, None, False)
     occluded = rng.uniform() < profile.p_pupil_fail
 
-    g = targets.for_region(region)
+    g = REGION_TARGETS[region_index(region)]
     head_shift = profile.head_gain * profile.head_motion_px * g
     points = FACE_TEMPLATE + HEAD_MOTION_WEIGHTS[:, None] * head_shift
     pupil_face = _EYE_CENTER + (1.0 - profile.head_gain) * profile.head_motion_px * _PUPIL_GAIN * g
@@ -243,22 +220,15 @@ def generate_frame(
         points[36:42, 1] = eye_y.mean() + (eye_y - eye_y.mean()) * _OCCLUSION_SQUASH
 
     eye_pts = points[36:42]
-    x0 = int(np.floor(eye_pts[:, 0].min())) - profile.crop_margin
-    y0 = int(np.floor(eye_pts[:, 1].min())) - profile.crop_margin
-    x1 = int(np.ceil(eye_pts[:, 0].max())) + profile.crop_margin
-    y1 = int(np.ceil(eye_pts[:, 1].max())) + profile.crop_margin
+    x0 = int(np.floor(eye_pts[:, 0].min())) - CROP_MARGIN
+    y0 = int(np.floor(eye_pts[:, 1].min())) - CROP_MARGIN
+    x1 = int(np.ceil(eye_pts[:, 0].max())) + CROP_MARGIN
+    y1 = int(np.ceil(eye_pts[:, 1].max())) + CROP_MARGIN
     width, height = x1 - x0, y1 - y0
 
     pupil_crop = None if occluded else (pupil_face[0] - x0, pupil_face[1] - y0)
     crop = render_eye_crop(
-        width,
-        height,
-        pupil_crop,
-        profile.pupil_radius,
-        rng,
-        noise_sigma=profile.image_noise,
-        background=profile.background_intensity,
-        pupil_value=profile.pupil_intensity,
+        width, height, pupil_crop, PUPIL_RADIUS, rng, noise_sigma=profile.image_noise
     )
     record = FrameRecord(
         subject_id=profile.subject_id,
@@ -275,13 +245,12 @@ def iter_subject_frames(
     profile: SubjectProfile,
     frames_per_region: int,
     rng: np.random.Generator,
-    targets: RegionTargets = DEFAULT_TARGETS,
 ) -> Iterator[GeneratedFrame]:
     """All frames for one subject: ``frames_per_region`` per region, in region order."""
     index = 0
     for region in REGIONS:
         for _ in range(frames_per_region):
-            yield generate_frame(profile, region, index, rng, targets)
+            yield generate_frame(profile, region, index, rng)
             index += 1
 
 
@@ -313,14 +282,13 @@ def population_frames(
     frames_per_region: int,
     seed: int,
     alphas: Sequence[float] | None = None,
-    targets: RegionTargets = DEFAULT_TARGETS,
     **profile_overrides,
 ) -> Iterator[GeneratedFrame]:
     """Stream every frame of a deterministic synthetic population."""
     profiles = population_profiles(n_subjects, seed, alphas, **profile_overrides)
     for index, profile in enumerate(profiles):
         rng = np.random.default_rng((seed & _SEED_MASK, index))
-        yield from iter_subject_frames(profile, frames_per_region, rng, targets)
+        yield from iter_subject_frames(profile, frames_per_region, rng)
 
 
 def generate_population(
@@ -329,7 +297,6 @@ def generate_population(
     frames_per_region: int,
     seed: int,
     alphas: Sequence[float] | None = None,
-    targets: RegionTargets = DEFAULT_TARGETS,
     **profile_overrides,
 ) -> dict:
     """Write a population dataset to disk and return its manifest.
@@ -349,7 +316,6 @@ def generate_population(
         frames_per_region,
         seed,
         alphas=[p.head_gain for p in profiles],
-        targets=targets,
         **profile_overrides,
     )
     meta = {

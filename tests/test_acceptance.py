@@ -183,9 +183,7 @@ def _owlness_per_frame(heads, pupils_uv, backgrounds):
         for sid, head, uv in zip(ids, heads, pupils_uv)
     }
     ds = analysis.PreparedDataset(subjects, total_records=len(ids))
-    reports = analysis.owlness_from_prepared(
-        ds, analysis.BackgroundModel(dict(zip(ids, backgrounds)))
-    )
+    reports = analysis.owlness_from_prepared(ds, dict(zip(ids, backgrounds)))
     return [reports[sid].owlness for sid in ids]
 
 
@@ -221,22 +219,19 @@ def test_criterion_04_owlness_ranges_and_boundaries():
         )
         poly = poly @ rot.T + rng.uniform(-50, 50, size=2)
         pupil = normalize_pupil(rng.uniform(-60, 60, size=2), poly)
-        background = analysis.SubjectBackground(
-            mean_nose=tuple(rng.uniform(0, 1, size=2)),
-            mean_pupil=tuple(rng.uniform(0, 1, size=2)),
-            frame_count=1,
-        )
-        d_head = math.hypot(*(nose - background.mean_nose))
-        d_pupil = math.hypot(*(pupil - background.mean_pupil))
+        mean_nose = tuple(rng.uniform(0, 1, size=2))
+        mean_pupil = tuple(rng.uniform(0, 1, size=2))
+        d_head = math.hypot(*(nose - mean_nose))
+        d_pupil = math.hypot(*(pupil - mean_pupil))
         assert 0.0 <= d_head <= root2 + 1e-12
         assert 0.0 <= d_pupil <= root2 + 1e-12
         heads.append(head)
         pupils.append(pupil)
-        backgrounds.append(background)
+        backgrounds.append((mean_nose, mean_pupil))
     owlness = _owlness_per_frame(heads, pupils, backgrounds)
     assert all(0.0 <= m <= 1.0 for m in owlness)
     worst_m = (min(owlness), max(owlness))
-    bg = analysis.SubjectBackground((0.25, 0.5), (0.75, 0.25), 1)
+    bg = ((0.25, 0.5), (0.75, 0.25))
     pure_lizard, pure_owl = _owlness_per_frame(
         [_head_with_nose((0.25, 0.5)), _head_with_nose((0.9, 0.1))],
         [(0.1, 0.9), (0.75, 0.25)],

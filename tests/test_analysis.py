@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from gazekit.analysis import (
-    BackgroundModel,
     EvalConfig,
     InsufficientData,
-    MissingBackground,
     ModeMismatch,
     OwlnessReport,
     PreparedDataset,
     PreparedSubject,
     Strategy,
-    SubjectBackground,
     accuracy_delta_report,
-    background_from_prepared,
     classify_strategy,
     evaluate_user,
+    nose_block,
     overall_accuracy,
     owlness_from_prepared,
     pearson,
@@ -50,12 +47,12 @@ def _owlness_of(nose, pupil_uv, background):
     head = np.zeros(136)
     head[2 * NOSE_TIP_INDEX : 2 * NOSE_TIP_INDEX + 2] = nose
     ds = PreparedDataset({"s": _subject("s", [head], [pupil_uv])}, total_records=1)
-    report = owlness_from_prepared(ds, BackgroundModel({"s": background}))["s"]
+    report = owlness_from_prepared(ds, {"s": background})["s"]
     return report.owlness, report.mean_head_dist, report.mean_pupil_dist
 
 
 def test_owlness_boundary_cases():
-    bg = SubjectBackground((0.5, 0.5), (0.5, 0.5), 1)
+    bg = ((0.5, 0.5), (0.5, 0.5))
     assert _owlness_of((0.5, 0.5), (0.7, 0.5), bg)[0] == 0.0  # pure lizard
     assert _owlness_of((0.9, 0.5), (0.5, 0.5), bg)[0] == 1.0  # pure owl
     m, dh, dp = _owlness_of((0.6, 0.5), (0.4, 0.5), bg)
@@ -66,10 +63,9 @@ def test_owlness_boundary_cases():
 def test_owlness_frame_end_to_end():
     ds = prepare_dataset([_frame_with(0, 0, alpha=1.0)])
     assert ds.pupils == 1
-    bg = background_from_prepared(ds)
-    assert owlness_from_prepared(ds, bg)["s"].owlness == 0.5  # frame vs its own mean
-    with pytest.raises(MissingBackground):
-        owlness_from_prepared(ds, BackgroundModel({}))
+    assert owlness_from_prepared(ds)["s"].owlness == 0.5  # frame vs its own mean
+    with pytest.raises(KeyError):
+        owlness_from_prepared(ds, {})
 
 
 def test_owlness_subject_mean_and_strategy():
@@ -77,7 +73,7 @@ def test_owlness_subject_mean_and_strategy():
     rng = np.random.default_rng(1)
     frames = list(iter_subject_frames(profile, 4, rng))
     ds = prepare_dataset(frames)
-    report = owlness_from_prepared(ds, background_from_prepared(ds))["s"]
+    report = owlness_from_prepared(ds)["s"]
     assert report.strategy is Strategy.LIZARD
     assert report.owlness < 0.1  # pure eye motion
     assert report.frame_count == len(frames)
@@ -130,17 +126,17 @@ def test_owlness_subject_is_mean_of_per_frame_values():
     frames = [_crafted_frame(m) for m in targets]
     heads = [normalize_landmarks(record.landmarks) for record, _ in frames]
     uvs = [normalize_pupil(pupil.center, record.eye_polygon) for record, pupil in frames]
-    background = SubjectBackground((0.5, 0.5), (0.5, 0.5), frame_count=3)
+    background = ((0.5, 0.5), (0.5, 0.5))
     one_per_frame = PreparedDataset(
         {f"f{i}": _subject(f"f{i}", [heads[i]], [uvs[i]]) for i in range(3)}, total_records=3
     )
     per_frame = owlness_from_prepared(
-        one_per_frame, BackgroundModel({sid: background for sid in one_per_frame.subjects})
+        one_per_frame, {sid: background for sid in one_per_frame.subjects}
     )
     for i, target in enumerate(targets):
         assert per_frame[f"f{i}"].owlness == pytest.approx(target, abs=1e-12)
     ds = PreparedDataset({"crafted": _subject("crafted", heads, uvs)}, total_records=3)
-    report = owlness_from_prepared(ds, BackgroundModel({"crafted": background}))["crafted"]
+    report = owlness_from_prepared(ds, {"crafted": background})["crafted"]
     assert report.owlness == pytest.approx(0.4, abs=1e-12)
     assert report.strategy is Strategy.LIZARD  # 0.4 < 0.45
 
@@ -293,9 +289,10 @@ def test_label_recoverability_across_identical_strategy_subjects():
 def test_background_means_follow_pupil_passing_frames():
     frames = _population(n_subjects=1, alphas=(0.0,), frames_per_region=5)
     ds = prepare_dataset(frames)
-    bg = background_from_prepared(ds)
-    subject = bg.for_subject("u0")
-    assert subject.frame_count == ds.pupils
-    reports = owlness_from_prepared(ds, bg)
+    reports = owlness_from_prepared(ds)
+    assert reports["u0"].frame_count == ds.pupils
+    subject = ds.subjects["u0"]
+    means = (nose_block(subject.head).mean(axis=0), subject.pupil_uv.mean(axis=0))
+    assert owlness_from_prepared(ds, {"u0": means}) == reports
     assert set(reports) == {"u0"}
     assert 0.0 <= reports["u0"].owlness <= 1.0

@@ -39,6 +39,19 @@ def test_cli_import_loads_no_package_but_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_synthetic_study_script_runs(tmp_path):
+    """The script reads ``summary.json`` keys by name; a renamed key breaks it."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_synthetic_study.py"
+    argv = ["--out", str(tmp_path), "--subjects", "2", "--trees", "3", "--depth", "4",
+            "--repetitions", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(script), *argv], env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "head-and-eye accuracy:" in proc.stdout
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "data"
@@ -461,6 +474,20 @@ def test_unreadable_dataset_is_a_data_error(tmp_path, capsys):
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_missing_dataset_exits_3_before_any_output(dataset, tmp_path, capsys):
+    model = tmp_path / "m.gzkf"
+    assert main(["train", "--data", str(dataset), "--out", str(model), "--trees", "2",
+                 "--min-frames", "1"]) == 0
+    capsys.readouterr()
+    missing = tmp_path / "nope"
+    outs = {"train": tmp_path / "m2.gzkf", "evaluate": tmp_path / "r", "classify": tmp_path / "d"}
+    for command, out in outs.items():
+        extra = ["--model", str(model)] if command == "classify" else []
+        assert main([command, "--data", str(missing), "--out", str(out), *extra]) == 3
+        assert f"dataset not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

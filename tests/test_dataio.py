@@ -173,6 +173,26 @@ def test_hostile_frame_fields_become_no_face_lines(tmp_path):
     assert "larger than 256 px" in parsed[len(hostile) - 1].error
 
 
+def test_undecodable_lines_become_no_face_lines(tmp_path):
+    out, frames, _ = _dataset(tmp_path)
+    jsonl = out / "frames.jsonl"
+    lines = jsonl.read_bytes().splitlines()
+    hostile = {
+        1: b"\xff",                           # not UTF-8
+        3: b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+        5: b"1" * 5000,                       # an integer past Python's digit limit
+    }
+    for i, raw in hostile.items():
+        lines[i] = raw
+    jsonl.write_bytes(b"\n".join(lines) + b"\n")
+    parsed = list(iter_dataset(jsonl))
+    assert [line.line_number for line in parsed] == list(range(1, len(frames) + 1))
+    for i, line in enumerate(parsed):
+        assert (line.record is None) == (i in hostile)
+        assert (line.error is not None) == (i in hostile)
+    assert "utf-8" in parsed[1].error and "recursion" in parsed[3].error
+
+
 def _trained_model(n_classes=6, seed=0, trees=9):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(40, 5))

@@ -17,6 +17,8 @@ FOREST = ["--trees", "3", "--min-frames", "1"]
 MUTATED_CROP = "crops/mutated.pgm"
 # Landmarks 27-47, the eyes-and-nose box, as flat x, y indices.
 BOX = (54, 96)
+NOT_UTF8 = b"\xff"
+TOO_DEEP = b"[" * 200_000 + b"]" * 200_000  # past the JSON decoder's recursion limit
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +47,13 @@ def base(tmp_path_factory):
     return root, data, model, objs
 
 
-def _write_frames(data, objs):
-    (data / "frames.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+def _write_frames(data, objs, replaced=None):
+    """Write ``objs`` as JSONL; ``replaced`` maps a line index to the bytes
+    written in place of that line."""
+    lines = [json.dumps(obj).encode() for obj in objs]
+    for index, raw in (replaced or {}).items():
+        lines[index] = raw
+    (data / "frames.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
 
 
 _NUMBERS = st.sampled_from(
@@ -68,6 +75,7 @@ _FIELD_MUTATION = st.one_of(
         st.sampled_from([1e-312, 5e-324, 1e-300, 0.0, -1.0, 1e300, 1e308]),
     ),
 )
+_LINE_MUTATION = st.tuples(st.just("line"), st.binary(max_size=32))
 _PART = st.sampled_from(["header", "payload"])
 _CROP_MUTATION = st.one_of(
     st.tuples(st.just("flip"), _PART, st.lists(
@@ -119,33 +127,49 @@ def _run_all(root, data, model):
 
 
 @settings(max_examples=200, deadline=None)
-@given(line=st.integers(0, 23), mutation=_FIELD_MUTATION | _CROP_MUTATION)
+@given(line=st.integers(0, 23), mutation=_FIELD_MUTATION | _CROP_MUTATION | _LINE_MUTATION)
 @example(line=7, mutation=("scale", "landmarks", *BOX, 1e-312))  # a subnormal box
 @example(line=3, mutation=("element", "eye_polygon", 5, 10**400))  # an int past float64
+@example(line=5, mutation=("line", NOT_UTF8))
+@example(line=5, mutation=("line", TOO_DEEP))
 def test_hostile_frames_never_exit_4(base, line, mutation):
     root, data, model, objs = base
     objs = copy.deepcopy(objs)
+    replaced = {}
     if mutation[0] in ("flip", "truncate", "extend"):
         raw = (data / objs[line]["eye_crop"]).read_bytes()
         (data / MUTATED_CROP).write_bytes(_mutate_crop(raw, mutation))
         objs[line]["eye_crop"] = MUTATED_CROP
+    elif mutation[0] == "line":
+        replaced[line] = mutation[1]
     else:
         _mutate_frame(objs[line], mutation)
-    _write_frames(data, objs)
+    _write_frames(data, objs, replaced)
     codes = _run_all(root, data, model)
     assert set(codes) <= {0, 2, 3}, codes
 
 
-def test_subnormal_box_frame_is_no_face(base, tmp_path):
-    root, _, model, objs = base
-    objs = copy.deepcopy(objs)
-    _mutate_frame(objs[7], ("scale", "landmarks", *BOX, 1e-312))
+def _assert_line_7_is_no_face(base, tmp_path, objs, replaced=None):
+    """``train``, ``evaluate`` and ``classify`` succeed on the hostile frames,
+    and count line 8 (index 7) as a frame without a face."""
+    root, _, model, _ = base
     data = tmp_path / "data"
     data.mkdir()
     (data / "crops").symlink_to(root / "data" / "crops")
-    _write_frames(data, objs)
+    _write_frames(data, objs, replaced)
     assert _run_all(tmp_path, data, model) == [0, 0, 0]
     ledger = json.loads((tmp_path / "out" / "reports" / "ledger.json").read_text())
     assert ledger["faces_detected"] == 23
     decisions = (tmp_path / "out" / "decisions.jsonl").read_text().splitlines()
     assert json.loads(decisions[7])["status"] == "no_face"
+
+
+def test_subnormal_box_frame_is_no_face(base, tmp_path):
+    objs = copy.deepcopy(base[3])
+    _mutate_frame(objs[7], ("scale", "landmarks", *BOX, 1e-312))
+    _assert_line_7_is_no_face(base, tmp_path, objs)
+
+
+@pytest.mark.parametrize("raw", [NOT_UTF8, TOO_DEEP], ids=["not_utf8", "too_deep"])
+def test_undecodable_line_is_no_face(base, tmp_path, raw):
+    _assert_line_7_is_no_face(base, tmp_path, base[3], {7: raw})

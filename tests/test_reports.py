@@ -7,6 +7,8 @@ The tables are the report contract, so a change of the study's data
 structures that changes one byte of them fails here.
 """
 
+import csv
+import dataclasses
 import json
 import math
 
@@ -211,3 +213,21 @@ def test_report_bytes_of_a_one_mode_study(tmp_path):
         "modes": ["head-eye"],
         "overall_accuracy": 20 / 22,
     }
+
+
+def test_report_cells_with_commas_quotes_and_line_breaks_read_back(tmp_path):
+    ids = ["a,b", 'q"x', "n\nl", "c\rr"]
+    study = _study((HO, HE))
+    study.subjects.append(dataclasses.replace(study.subjects[2]))
+    for subject, sid in zip(study.subjects, ids):
+        subject.subject_id = sid
+    study.owlness = {
+        sid: dataclasses.replace(OWLNESS[old], subject_id=sid) for old, sid in zip("ab", ids)
+    }
+    delta = dataclasses.replace(DELTA, per_user=[(sid, NAN, 0.0) for sid in ids])
+    write_study_reports(tmp_path, study, delta, {}, plots=False)
+    for name, expected_ids in (("per_user.csv", ids), ("owlness.csv", ids[:2])):
+        with open(tmp_path / name, newline="", encoding="utf-8") as stream:
+            header, *rows = csv.reader(stream)
+        assert [row[0] for row in rows] == expected_ids, name
+        assert {len(row) for row in rows} == {len(header)}, name

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from gazekit.analysis import owlness_from_prepared, prepare_dataset
-from gazekit.core import REGIONS, GazeRegion
+from gazekit.core import REGIONS, GazeRegion, region_index
 from gazekit.dataio import load_manifest
 from gazekit.pupil import PupilStatus, detect_pupil
 from gazekit.synth import (
-    DEFAULT_TARGETS,
     FACE_TEMPLATE,
     HEAD_MOTION_WEIGHTS,
-    RegionTargets,
+    REGION_TARGETS,
     SubjectProfile,
     generate_frame,
     generate_population,
@@ -29,13 +28,10 @@ def _clean_profile(alpha, **kw):
 
 
 def test_region_targets_validation():
-    assert DEFAULT_TARGETS.for_region(GazeRegion.ROAD) == pytest.approx((0.0, 0.0))
-    with pytest.raises(ValueError):
-        RegionTargets(np.zeros((6, 2)))  # not pairwise distinct
-    bad = np.array(DEFAULT_TARGETS.vectors)
-    bad[0] = (0.1, 0.0)
-    with pytest.raises(ValueError):
-        RegionTargets(bad)
+    assert REGION_TARGETS.shape == (len(REGIONS), 2)
+    assert REGION_TARGETS[region_index(GazeRegion.ROAD)] == pytest.approx((0.0, 0.0))
+    assert len({tuple(row) for row in REGION_TARGETS.tolist()}) == len(REGIONS)
+    assert not REGION_TARGETS.flags.writeable
 
 
 def test_full_owl_keeps_pupil_centered():
@@ -45,7 +41,7 @@ def test_full_owl_keeps_pupil_centered():
     eye_center = (record.eye_polygon[0] + record.eye_polygon[3]) / 2.0
     assert frame.true_pupil == pytest.approx(tuple(eye_center))
     # landmarks displaced by exactly the weighted head shift
-    g = DEFAULT_TARGETS.for_region(GazeRegion.LEFT)
+    g = REGION_TARGETS[region_index(GazeRegion.LEFT)]
     expected = FACE_TEMPLATE + HEAD_MOTION_WEIGHTS[:, None] * (profile.head_motion_px * g)
     assert np.allclose(record.landmarks.points, expected)
 
@@ -57,7 +53,7 @@ def test_full_lizard_keeps_landmarks_at_rest():
     assert np.array_equal(road.record.landmarks.points, left.record.landmarks.points)
     # pupil moved by the full displacement, in eye-gain units
     shift = np.asarray(left.true_pupil) - np.asarray(road.true_pupil)
-    g = DEFAULT_TARGETS.for_region(GazeRegion.LEFT)
+    g = REGION_TARGETS[region_index(GazeRegion.LEFT)]
     assert shift[0] == pytest.approx(profile.head_motion_px * (30.0 / 94.0) * g[0])
     assert shift[1] == pytest.approx(profile.head_motion_px * (14.0 / 31.0) * g[1])
 

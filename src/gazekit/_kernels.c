@@ -1,11 +1,13 @@
-/* Compiled kernels of gazekit.forest: the tree walk and the level split search.
+/* Compiled kernels of gazekit: the tree walk and the level split search of
+ * forest.py, and the pupil search of pupil.py.
  *
- * Each function computes exactly what its numpy counterpart in forest.py
- * computes (``_leaf_nodes`` with the mean of the leaf fractions, and
- * ``_level_splits``), with the same integer arithmetic, the same float64
- * operations in the same order and the same tie-breaks, so the two paths
- * give bit-identical trees and probabilities. forest.py builds this file
- * with ``cc -O2 -std=c99 -ffp-contract=off -shared -fPIC`` and loads it with
+ * Each function computes exactly what its numpy counterpart computes
+ * (``forest._leaf_nodes`` with the mean of the leaf fractions,
+ * ``forest._level_splits`` and the 27-triple loop of ``pupil.detect_pupil``),
+ * with the same integer arithmetic, the same float64 operations in the same
+ * order and the same tie-breaks, so the two paths give bit-identical trees,
+ * probabilities and pupils. _native.py builds this file with
+ * ``cc -O2 -std=c99 -ffp-contract=off -shared -fPIC`` and loads it with
  * ctypes; every array is C-contiguous and of the stated type.
  */
 
@@ -224,4 +226,177 @@ done:
     free(start); free(fill); free(grouped); free(left);
     free(w); free(label); free(key); free(key2); free(idx); free(idx2);
     return n_split;
+}
+
+/* Erosion (``need`` = 2r + 1) or dilation (``need`` = 1) of the h x w image
+ * ``src`` of 0s and 1s, row stride ``stride``, over a square window of side
+ * 2r + 1 (``pupil.erode``, ``pupil.dilate``): a pixel is set when at least
+ * ``need`` pixels of its window are, out-of-bounds pixels counting as
+ * background. Rows go into ``tmp`` through prefix counts, then columns into
+ * ``dst`` through running counts of the window's rows. ``counts`` holds
+ * max(h, w) + 1 ints, and r <= max(h, w) < 2^30. */
+static void window_square(const uint8_t *src, uint8_t *tmp, uint8_t *dst, int64_t h, int64_t w,
+                          int64_t stride, int64_t r, int32_t need, int32_t *counts)
+{
+    for (int64_t y = 0; y < h; y++) {
+        const uint8_t *s = src + y * stride;
+        uint8_t *d = tmp + y * stride;
+        counts[0] = 0;
+        for (int64_t x = 0; x < w; x++)
+            counts[x + 1] = counts[x] + s[x];
+        for (int64_t x = 0; x < w; x++) {
+            int64_t lo = x - r, hi = x + r + 1;
+            d[x] = counts[hi < w ? hi : w] - counts[lo > 0 ? lo : 0] >= need;
+        }
+    }
+    memset(counts, 0, (size_t)w * sizeof *counts);
+    for (int64_t y = 0; y < r && y < h; y++)
+        for (int64_t x = 0; x < w; x++)
+            counts[x] += tmp[y * stride + x];
+    for (int64_t y = 0; y < h; y++) {
+        if (y + r < h)
+            for (int64_t x = 0; x < w; x++)
+                counts[x] += tmp[(y + r) * stride + x];
+        if (y - r > 0)
+            for (int64_t x = 0; x < w; x++)
+                counts[x] -= tmp[(y - r - 1) * stride + x];
+        uint8_t *d = dst + y * stride;
+        for (int64_t x = 0; x < w; x++)
+            d[x] = counts[x] >= need;
+    }
+}
+
+/* The largest 8-connected component of the h x w image ``img`` whose
+ * bounding box has min(width, height) / max(width, height) >= ``min_aspect``,
+ * the first in raster order among equal areas, as
+ * ``pupil.largest_circular_blob`` finds it. ``img`` points at the first
+ * pixel of an image with a one-pixel background border and row stride
+ * w + 2; its foreground is cleared as it is labelled. ``stack`` holds h * w
+ * pixels. Returns the area, or 0 when no component qualifies, and writes the
+ * width and height to ``bbox`` and the centroid (x, y) to ``centroid``. */
+static int64_t largest_blob(uint8_t *img, int64_t h, int64_t w, int64_t *stack,
+                            double min_aspect, int64_t *bbox, double *centroid)
+{
+    const int64_t stride = w + 2;
+    const int64_t around[8] = {-stride - 1, -stride, -stride + 1, -1, 1,
+                               stride - 1, stride, stride + 1};
+    int64_t best = 0;
+    for (int64_t y = 0; y < h; y++) {
+        uint8_t *row = img + y * stride;
+        for (int64_t x = 0; x < w; x++) {
+            if (!row[x])
+                continue;
+            /* (y, x) is the component's first pixel in raster order: its top. */
+            int64_t n_stack = 1, area = 0, bottom = y, left = x, right = x;
+            int64_t sum_dy = 0, sum_x = 0;
+            row[x] = 0;
+            stack[0] = y * stride + x;
+            while (n_stack) {
+                int64_t p = stack[--n_stack];
+                int64_t py = p / stride, px = p % stride;
+                area++;
+                sum_dy += py - y;
+                sum_x += px;
+                if (py > bottom) bottom = py;
+                if (px < left) left = px;
+                if (px > right) right = px;
+                for (int k = 0; k < 8; k++) {
+                    int64_t q = p + around[k];
+                    if (img[q]) {
+                        img[q] = 0;
+                        stack[n_stack++] = q;
+                    }
+                }
+            }
+            int64_t width = right - left + 1, height = bottom - y + 1;
+            double aspect = width < height ? (double)width / (double)height
+                                           : (double)height / (double)width;
+            if (aspect >= min_aspect && area > best) {
+                best = area;
+                bbox[0] = width;
+                bbox[1] = height;
+                /* The exact integer sums over the area, as numpy's mean of
+                 * the offsets from the top row and the left column. */
+                centroid[0] = (double)(sum_x - area * left) / (double)area + (double)left;
+                centroid[1] = (double)sum_dy / (double)area + (double)y;
+            }
+        }
+    }
+    return best;
+}
+
+/* Half a window side, clamped to ``side``: a wider window gives the same
+ * erosion and dilation, as in ``pupil._window_extreme``. */
+static int64_t window_radius(int64_t window, int64_t side)
+{
+    int64_t r = window / 2;
+    return r < 0 ? 0 : r > side ? side : r;
+}
+
+/* The 27-triple pupil search of ``pupil.detect_pupil`` on the h x w
+ * rescaled eye crop ``image``. For each threshold t, opening window o and
+ * closing window c, in that nesting order, the pixels below t are opened
+ * (eroded, then dilated) with an o x o square, closed (dilated, then eroded)
+ * with a c x c square, and their largest circular blob of at least
+ * ``min_area`` pixels is found; a strict ``>`` on the area keeps the first
+ * largest triple. Writes (triple index t * 9 + o * 3 + c, area, width,
+ * height) to ``best`` and the centroid (x, y) to ``centroid``. Returns 1,
+ * 0 when no triple gives a blob, or -1 when memory runs out.
+ */
+int gzk_pupil_search(int64_t h, int64_t w, const double *image, const double *thresholds,
+                     const int64_t *openings, const int64_t *closings, int64_t min_area,
+                     double min_aspect, int64_t *best, double *centroid)
+{
+    if (h <= 0 || w <= 0)
+        return 0;
+    /* Five bordered images: binary, opened, closed and two for the passes. */
+    const int64_t stride = w + 2, size = (h + 2) * stride, side = h > w ? h : w;
+    uint8_t *bytes = calloc(5 * (size_t)size, 1);
+    int64_t *stack = malloc((size_t)(h * w) * sizeof *stack);
+    int32_t *counts = malloc(((size_t)side + 1) * sizeof *counts);
+    int found = -1;
+    if (side >= (1 << 30) || !bytes || !stack || !counts)
+        goto done;
+    uint8_t *binary = bytes + stride + 1, *opened = binary + size, *closed = opened + size;
+    uint8_t *tmp = closed + size, *tmp2 = tmp + size;
+    int64_t bbox[2] = {0, 0};
+    double at[2] = {0.0, 0.0};
+    found = 0;
+    for (int t = 0; t < 3; t++) {
+        for (int64_t y = 0; y < h; y++)
+            for (int64_t x = 0; x < w; x++)
+                binary[y * stride + x] = image[y * w + x] < thresholds[t];
+        for (int o = 0; o < 3; o++) {
+            int64_t r = window_radius(openings[o], side);
+            const uint8_t *base = binary;
+            if (r) {
+                window_square(binary, tmp, tmp2, h, w, stride, r, 2 * (int32_t)r + 1, counts);
+                window_square(tmp2, tmp, opened, h, w, stride, r, 1, counts);
+                base = opened;
+            }
+            for (int c = 0; c < 3; c++) {
+                r = window_radius(closings[c], side);
+                if (r) {
+                    window_square(base, tmp, tmp2, h, w, stride, r, 1, counts);
+                    window_square(tmp2, tmp, closed, h, w, stride, r, 2 * (int32_t)r + 1, counts);
+                } else {
+                    memcpy(closed - stride - 1, base - stride - 1, (size_t)size);
+                }
+                int64_t area = largest_blob(closed, h, w, stack, min_aspect, bbox, at);
+                if (area >= min_area && area > (found ? best[1] : 0)) {
+                    found = 1;
+                    best[0] = t * 9 + o * 3 + c;
+                    best[1] = area;
+                    best[2] = bbox[0];
+                    best[3] = bbox[1];
+                    centroid[0] = at[0];
+                    centroid[1] = at[1];
+                }
+            }
+        }
+    }
+
+done:
+    free(bytes); free(stack); free(counts);
+    return found;
 }

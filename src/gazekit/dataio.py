@@ -154,6 +154,10 @@ def parse_frame_obj(obj: dict, base_dir: Path) -> FrameRecord:
         raise DataFormatError(
             "subject_id and label must be strings and frame_index an integer"
         )
+    try:  # a JSON escape can decode to a lone surrogate, which no report can write
+        subject_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataFormatError("subject_id must be valid Unicode text") from None
     if not isinstance(landmarks_flat, list) or len(landmarks_flat) != 136:
         raise DataFormatError("landmarks must be a flat array of 136 numbers")
     if not isinstance(polygon_flat, list) or len(polygon_flat) != 12:

@@ -22,13 +22,12 @@ process pool; results are identical to a serial run because each tree depends
 only on its derived seed and trees are collected in index order.
 
 The two hot loops, the level split search (``_level_splits``) and the tree
-walk of prediction (``_leaf_nodes``), also exist as C kernels in
-``_kernels.c``. On first use the source is compiled with the system ``cc``
-into ``$XDG_CACHE_HOME/gazekit/`` (default ``~/.cache/gazekit/``), keyed by
-the hash of the source, the flags and the machine, and loaded with ctypes.
-The kernels give bit-identical trees and probabilities. Without a compiler
-or a writable cache directory, or when the build or the load fails (which
-prints one warning on stderr), the numpy functions run instead.
+walk of prediction (``_leaf_nodes``), also exist as the C kernels
+``gzk_level_splits`` and ``gzk_predict`` in ``_kernels.c``, which
+:mod:`gazekit._native` builds into ``$XDG_CACHE_HOME/gazekit/`` and loads on
+first use. The kernels give bit-identical trees and probabilities. When they
+are unavailable (no compiler, no writable cache directory, or a failed build
+or load, which prints one warning on stderr), the numpy functions run instead.
 """
 
 from __future__ import annotations
@@ -37,13 +36,12 @@ import itertools
 import math
 import multiprocessing
 import os
-import sys
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .core import GazekitError
 
 __all__ = [
@@ -220,150 +218,6 @@ def thread_count() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compiled kernels
-# ---------------------------------------------------------------------------
-
-_SOURCE = Path(__file__).with_name("_kernels.c")
-_COMPILER = "cc"  # looked up on PATH
-_FLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
-_UNRESOLVED = object()
-# The kernel handle: a _Kernels, None for the numpy path, or _UNRESOLVED
-# until the first call of _kernels().
-_kernel = _UNRESOLVED
-
-
-def _carray(array, dtype):
-    """``array`` as a C-contiguous array of ``dtype``, copied only if needed."""
-    return np.ascontiguousarray(array, dtype=dtype)
-
-
-class _Kernels:
-    """The functions of ``_kernels.c``, called like their numpy counterparts."""
-
-    def __init__(self, lib):
-        import ctypes
-
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        self._lib = lib  # keeps the library loaded
-        self._predict = lib.gzk_predict
-        self._predict.argtypes = [i64, i64, ptr, i64, ptr, i64, ptr, ptr, ptr, i64, ptr, ptr]
-        self._predict.restype = ctypes.c_int
-        self._level_splits = lib.gzk_level_splits
-        self._level_splits.argtypes = (
-            [i64, i64, i64, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr, i64]
-            + [ptr, ptr, ptr]
-        )
-        self._level_splits.restype = i64
-
-    def predict(self, nodes: ForestNodes, fractions: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``fractions[_leaf_nodes(nodes, X)].mean(axis=1)``."""
-        X, roots = _carray(X, np.float64), _carray(nodes.roots, np.int64)
-        feature, threshold = _carray(nodes.feature, np.int32), _carray(nodes.threshold, np.float64)
-        right, fractions = _carray(nodes.right, np.int32), _carray(fractions, np.float64)
-        if not threshold.shape == right.shape == fractions.shape[:1] == feature.shape:
-            raise ValueError("node arrays of different lengths")
-        probs = np.zeros((X.shape[0], fractions.shape[1]))
-        status = self._predict(
-            X.shape[0], X.shape[1], X.ctypes.data, roots.size, roots.ctypes.data,
-            feature.size, feature.ctypes.data, threshold.ctypes.data, right.ctypes.data,
-            fractions.shape[1], fractions.ctypes.data, probs.ctypes.data,
-        )
-        if status:
-            raise ValueError("forest walk left its tree")
-        return probs
-
-    def level_splits(self, counts, feats, rows, slot, data, weight, min_leaf):
-        """``_level_splits`` with the same inputs and results."""
-        X, y, ranks = data
-        X, y, ranks = _carray(X, np.float64), _carray(y, np.int64), _carray(ranks, np.int32)
-        counts, feats, weight = (_carray(a, np.int64) for a in (counts, feats, weight))
-        rows, slot = _carray(rows, np.int64), _carray(slot, np.int64)
-        m = counts.shape[0]
-        node, feature, threshold = np.empty(m, np.int64), np.empty(m, np.int64), np.empty(m)
-        found = self._level_splits(
-            X.shape[0], X.shape[1], counts.shape[1], X.ctypes.data, y.ctypes.data,
-            ranks.ctypes.data, weight.ctypes.data, m, feats.shape[1], counts.ctypes.data,
-            feats.ctypes.data, rows.size, rows.ctypes.data, slot.ctypes.data, min_leaf,
-            node.ctypes.data, feature.ctypes.data, threshold.ctypes.data,
-        )
-        if found < 0:
-            raise MemoryError("split search scratch")
-        return node[:found], feature[:found], threshold[:found]
-
-
-def _cache_dir() -> Path | None:
-    """``$XDG_CACHE_HOME/gazekit`` (default ``~/.cache/gazekit``), created
-    with mode 0700; None unless it is a directory of this user that no one
-    else may write to, since the library built there is loaded as code."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    try:
-        cache = (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "gazekit"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        info = cache.stat()
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
-        return None
-    return cache if info.st_uid == os.getuid() and not info.st_mode & 0o022 else None
-
-
-def _load_kernels() -> _Kernels | None:
-    """Build ``_kernels.c`` into the cache directory unless it is there, and
-    load it; None when there is no compiler, the cache directory cannot be
-    written, or the build or the load fails (warned on stderr)."""
-    import ctypes
-    import hashlib
-    import platform
-    import shutil
-    import subprocess
-    import tempfile
-
-    compiler = shutil.which(_COMPILER)
-    cache = None if compiler is None else _cache_dir()
-    if cache is None:
-        return None
-    key = hashlib.sha256(b"\0".join(
-        [_SOURCE.read_bytes(), " ".join(_FLAGS).encode(), platform.machine().encode()]
-    )).hexdigest()[:32]
-    target = cache / f"kernels-{key}.so"
-    if not target.exists():
-        try:
-            handle, partial = tempfile.mkstemp(prefix=".kernels-", suffix=".so", dir=cache)
-        except OSError:
-            return None
-        os.close(handle)
-        try:
-            build = subprocess.run(
-                [compiler, *_FLAGS, "-o", partial, str(_SOURCE)],
-                stdin=subprocess.DEVNULL, capture_output=True, text=True,
-            )
-            if build.returncode != 0:
-                return _unavailable(f"{compiler} exited {build.returncode}: {build.stderr.strip()}")
-            # Renamed into place whole: no process loads a half-written file.
-            os.replace(partial, target)
-        except OSError as exc:
-            return _unavailable(f"cannot build: {exc}")
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
-    try:
-        return _Kernels(ctypes.CDLL(str(target)))
-    except (OSError, AttributeError) as exc:
-        return _unavailable(f"cannot load {target}: {exc}")
-
-
-def _unavailable(reason: str) -> None:
-    sys.stderr.write(f"gazekit: C kernels unavailable, using numpy ({reason})\n")
-    return None
-
-
-def _kernels() -> _Kernels | None:
-    """The kernel handle, resolved on the first call in a process."""
-    global _kernel
-    if _kernel is _UNRESOLVED:
-        _kernel = _load_kernels()
-    return _kernel
-
-
-# ---------------------------------------------------------------------------
 # Tree growth
 # ---------------------------------------------------------------------------
 
@@ -476,7 +330,7 @@ def _grow_tree(data, weight, n_classes, cfg: ForestConfig, rng: np.random.Genera
     nodes are then laid out in preorder, as ForestNodes holds them.
     """
     X, y, _ = data
-    kernel = _kernels()
+    kernel = _native.kernels()
     level_splits = _level_splits if kernel is None else kernel.level_splits
     d = X.shape[1]
     k = min(cfg.features_per_split or max(1, int(math.floor(math.sqrt(d)))), d)
@@ -559,7 +413,7 @@ def _train_one(index: int):
 def _fit_trees(X, y, n_classes, cfg: ForestConfig):
     global _WORKER_STATE
     _WORKER_STATE = {"data": (X, y, _dense_ranks(X)), "n_classes": n_classes, "cfg": cfg}
-    _kernels()  # resolved once, before any worker forks
+    _native.kernels()  # resolved once, before any worker forks
     workers = min(thread_count(), cfg.n_trees)
     try:
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -658,7 +512,7 @@ def predict_proba_batch(model: ForestModel, X) -> np.ndarray:
             f"query shape {X.shape} does not match feature_dim {model.feature_dim}"
         )
     nodes, fractions = model.packed(), model.fractions
-    kernel = _kernels()
+    kernel = _native.kernels()
     if kernel is not None:
         return kernel.predict(nodes, fractions, X)
     step = max(1, _PAIR_BUDGET // nodes.n_trees)

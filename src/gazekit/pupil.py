@@ -6,6 +6,12 @@ result with a morphological opening and closing, and keeps the largest
 roughly-circular blob. The three parameters (CDF threshold, opening window,
 closing window) are searched exhaustively over a 3x3x3 grid per image to
 maximize the area of that blob.
+
+That search runs as one call of the C kernel ``gzk_pupil_search`` in
+``_kernels.c`` per eye crop, built and loaded by :mod:`gazekit._native`.
+When the kernels are unavailable, the numpy loop over ``binarize``,
+``morph_open``, ``morph_close`` and ``largest_circular_blob`` runs instead;
+both give bit-identical :class:`PupilResult` values.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import _native
 from .core import GazekitError, GrayImage
 
 __all__ = [
@@ -297,6 +304,23 @@ def largest_circular_blob(image: np.ndarray) -> BlobStats | None:
     return BlobStats(int(areas[best]), (int(widths[best]), int(heights[best])), (cx, cy))
 
 
+def _search(rescaled: np.ndarray, grid: ParamGrid):
+    """The numpy search: (index of the winning triple in ``grid.triples()``
+    order, area, bbox, centroid) of the largest blob, or None."""
+    best = None
+    index = 0
+    for threshold in grid.cdf_thresholds:
+        binary = binarize(rescaled, threshold)
+        for opening in grid.opening_windows:
+            opened = morph_open(binary, opening)
+            for closing in grid.closing_windows:
+                blob = largest_circular_blob(morph_close(opened, closing))
+                if blob is not None and (best is None or blob.area > best[1]):
+                    best = (index, blob.area, blob.bbox, blob.centroid)
+                index += 1
+    return best
+
+
 def detect_pupil(
     eye_crop: GrayImage | np.ndarray,
     eye_polygon,
@@ -321,28 +345,28 @@ def detect_pupil(
     except DegenerateIntensity:
         return PupilResult(PupilStatus.NO_BLOB)
 
-    best: BlobStats | None = None
-    best_params: PupilParams | None = None
-    for threshold in grid.cdf_thresholds:
-        binary = binarize(rescaled, threshold)
-        for opening in grid.opening_windows:
-            opened = morph_open(binary, opening)
-            for closing in grid.closing_windows:
-                blob = largest_circular_blob(morph_close(opened, closing))
-                if blob is not None and (best is None or blob.area > best.area):
-                    best = blob
-                    best_params = PupilParams(threshold, opening, closing)
-    if best is None:
+    kernel = _native.kernels()
+    if kernel is None:
+        found = _search(rescaled, grid)
+    else:
+        found = kernel.pupil_search(
+            rescaled, grid.cdf_thresholds, grid.opening_windows, grid.closing_windows,
+            MIN_BLOB_AREA, MIN_ASPECT,
+        )
+    if found is None:
         return PupilResult(PupilStatus.NO_BLOB)
+    index, area, bbox, (cx, cy) = found
 
     # Closing can bleed a blob slightly past the polygon; the reported center
     # is pinned to the polygon's bounding box.
-    cx = min(max(best.centroid[0], x_min), x_max)
-    cy = min(max(best.centroid[1], y_min), y_max)
+    cx = min(max(cx, x_min), x_max)
+    cy = min(max(cy, y_min), y_max)
+    params = PupilParams(
+        grid.cdf_thresholds[index // 9],
+        grid.opening_windows[index // 3 % 3],
+        grid.closing_windows[index % 3],
+    )
     return PupilResult(
-        PupilStatus.DETECTED,
-        center=(cx, cy),
-        blob_area=best.area,
-        blob_bbox=best.bbox,
-        chosen_params=best_params,
+        PupilStatus.DETECTED, center=(cx, cy), blob_area=area, blob_bbox=bbox,
+        chosen_params=params,
     )

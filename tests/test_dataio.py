@@ -177,10 +177,13 @@ def test_undecodable_lines_become_no_face_lines(tmp_path):
     out, frames, _ = _dataset(tmp_path)
     jsonl = out / "frames.jsonl"
     lines = jsonl.read_bytes().splitlines()
+    surrogate = json.loads(lines[7])
+    surrogate["subject_id"] = "s\ud80001"  # JSON "\ud800": a lone surrogate
     hostile = {
         1: b"\xff",                           # not UTF-8
         3: b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
         5: b"1" * 5000,                       # an integer past Python's digit limit
+        7: json.dumps(surrogate).encode(),
     }
     for i, raw in hostile.items():
         lines[i] = raw
@@ -191,6 +194,7 @@ def test_undecodable_lines_become_no_face_lines(tmp_path):
         assert (line.record is None) == (i in hostile)
         assert (line.error is not None) == (i in hostile)
     assert "utf-8" in parsed[1].error and "recursion" in parsed[3].error
+    assert "Unicode" in parsed[7].error
 
 
 def _trained_model(n_classes=6, seed=0, trees=9):
@@ -312,12 +316,12 @@ def test_model_rejects_malformed_nodes(
 _WALK_MALFORMED = """
 import json
 import numpy as np
-from gazekit import forest
+from gazekit import _native, forest
 import test_dataio as t
 
 model, queries = t._trained_model()
 queries = np.vstack([queries, np.full(5, np.nan)])  # NaN goes right at every split
-compiled = forest._kernels()
+compiled = _native.kernels()
 assert compiled is not None
 outcomes = {}
 for i in (0, 1, 4, 5, 7):  # bad tags and right children, and the self-loop

@@ -60,8 +60,10 @@ _NUMBERS = st.sampled_from(
     [1e308, -1e308, 1e300, 1e-300, 1e-312, 5e-324, -5e-324, 0.0, -0.0,
      float("nan"), float("inf"), float("-inf"), 10**400, 2**63, -(2**63), True]
 )
+# st.text() draws no surrogates, but a JSON escape such as "\ud800" decodes to one.
+_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8)
 _VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(), _NUMBERS, st.floats(), st.text(max_size=8),
+    st.none(), st.booleans(), st.integers(), _NUMBERS, st.floats(), _TEXT,
     st.lists(_NUMBERS | st.floats(), max_size=3),
     st.lists(_NUMBERS, min_size=12, max_size=12), st.lists(_NUMBERS, min_size=136, max_size=136),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
@@ -76,6 +78,7 @@ _FIELD_MUTATION = st.one_of(
     ),
 )
 _LINE_MUTATION = st.tuples(st.just("line"), st.binary(max_size=32))
+_SUBJECT_MUTATION = st.tuples(st.just("subject"), _TEXT)  # renames every line of one subject
 _PART = st.sampled_from(["header", "payload"])
 _CROP_MUTATION = st.one_of(
     st.tuples(st.just("flip"), _PART, st.lists(
@@ -127,11 +130,15 @@ def _run_all(root, data, model):
 
 
 @settings(max_examples=200, deadline=None)
-@given(line=st.integers(0, 23), mutation=_FIELD_MUTATION | _CROP_MUTATION | _LINE_MUTATION)
+@given(
+    line=st.integers(0, 23),
+    mutation=_FIELD_MUTATION | _CROP_MUTATION | _LINE_MUTATION | _SUBJECT_MUTATION,
+)
 @example(line=7, mutation=("scale", "landmarks", *BOX, 1e-312))  # a subnormal box
 @example(line=3, mutation=("element", "eye_polygon", 5, 10**400))  # an int past float64
 @example(line=5, mutation=("line", NOT_UTF8))
 @example(line=5, mutation=("line", TOO_DEEP))
+@example(line=13, mutation=("subject", "s\ud80001"))  # a lone surrogate
 def test_hostile_frames_never_exit_4(base, line, mutation):
     root, data, model, objs = base
     objs = copy.deepcopy(objs)
@@ -142,6 +149,11 @@ def test_hostile_frames_never_exit_4(base, line, mutation):
         objs[line]["eye_crop"] = MUTATED_CROP
     elif mutation[0] == "line":
         replaced[line] = mutation[1]
+    elif mutation[0] == "subject":
+        subject = objs[line]["subject_id"]
+        for obj in objs:
+            if obj["subject_id"] == subject:
+                obj["subject_id"] = mutation[1]
     else:
         _mutate_frame(objs[line], mutation)
     _write_frames(data, objs, replaced)

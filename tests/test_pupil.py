@@ -246,6 +246,7 @@ def test_labeller_matches_the_oracle_on_mazes_and_serpentines(kind, height, widt
     _assert_blob_matches_oracle(img)
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_memory_is_bounded_on_the_largest_crop():
     side = 256  # the largest crop a dataset may hold
     poly = np.array([[0, 128], [64, 0], [192, 0], [255, 128], [192, 255], [64, 255]], dtype=float)
@@ -267,6 +268,7 @@ def _disk_crop(center=(20.0, 12.0), radius=5.0, noise=5.0, seed=3):
     return render_eye_crop(40, 24, center, radius, rng, noise_sigma=noise)
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_closed_eye():
     # polygon bbox 40 wide, 3 tall: 3 < 0.1 * 40 counts as closed
     flat = np.array([[0, 10], [12, 9], [26, 9], [40, 10], [26, 12], [12, 12]], dtype=float)
@@ -274,6 +276,7 @@ def test_detect_pupil_closed_eye():
     assert result.status is PupilStatus.EYE_CLOSED
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_finds_disk_center():
     crop = _disk_crop()
     result = detect_pupil(crop, FULL_POLY)
@@ -283,12 +286,14 @@ def test_detect_pupil_finds_disk_center():
     assert result.chosen_params in DEFAULT_GRID.triples()
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_all_bright_is_no_blob():
     rng = np.random.default_rng(0)
     crop = render_eye_crop(40, 24, None, 0.0, rng, noise_sigma=0.0)
     assert detect_pupil(crop, FULL_POLY).status is PupilStatus.NO_BLOB
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_deterministic():
     crop = _disk_crop(noise=12.0, seed=9)
     first = detect_pupil(crop, FULL_POLY)
@@ -296,6 +301,7 @@ def test_detect_pupil_deterministic():
     assert first == second
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_search_is_maximal_and_tiebreaks_lexicographically():
     crop = _disk_crop(noise=10.0, seed=21)
     result = detect_pupil(crop, FULL_POLY)
@@ -317,6 +323,7 @@ def test_detect_pupil_search_is_maximal_and_tiebreaks_lexicographically():
     assert result.chosen_params == best_params
 
 
+@pytest.mark.usefixtures("kernel")  # on both kernel paths
 def test_detect_pupil_center_stays_in_polygon_bbox():
     rng = np.random.default_rng(77)
     for _ in range(25):
